@@ -12,7 +12,11 @@
 //! of the partial-refactorization frontier, and only the active rows'
 //! columns ever replay.
 //!
-//! Three configurations run the same fixed-step transient:
+//! Three configurations run the same fixed-step transient, all with
+//! per-device voltage limiting off: the engine never limits a bypass
+//! run (cached stamps are not a pure function of `x`), so A and B run
+//! without it too and the three configs compare like with like — the
+//! bench measures refactorisation and bypass, not limiting.
 //!
 //! * **A — full replay**: partial refactorization off, bypass off (the
 //!   pre-fast-SPICE path);
@@ -33,9 +37,9 @@
 //! 3. config C's factor ops drop ≥ 2× vs config A, with every node
 //!    waveform within 1e-9 — and config B is bitwise-identical to A.
 //!
-//! Pass an optional gate-count argument to resize the array (CI
-//! smoke-runs a small N, where the structural assertions still run but
-//! the three scaling criteria are reported without being enforced).
+//! Pass an optional gate-count argument to resize the array (below
+//! 1000 gates the structural assertions still run but the three scaling
+//! criteria are reported without being enforced; CI runs the default).
 
 use cntfet_bench::paper_device;
 use cntfet_circuit::prelude::*;
@@ -102,7 +106,7 @@ struct Run {
 
 fn run_config(circuit: Circuit, cfg: &Config, t_stop: f64, dt: f64) -> Run {
     let newton = NewtonOptions {
-        solver: SolverKind::Sparse,
+        limiting: false,
         partial_refactor: cfg.partial,
         bypass: cfg.bypass,
         bypass_vtol: 1e-6,
@@ -123,14 +127,14 @@ fn run_config(circuit: Circuit, cfg: &Config, t_stop: f64, dt: f64) -> Run {
     }
 }
 
-fn column_ratio(s: &TransientStats) -> f64 {
+fn column_ratio(s: &EngineCounters) -> f64 {
     if s.columns_total == 0 {
         return 0.0;
     }
     s.columns_recomputed as f64 / s.columns_total as f64
 }
 
-fn bypass_ratio(s: &TransientStats) -> f64 {
+fn bypass_ratio(s: &EngineCounters) -> f64 {
     let attempts = s.device_evals + s.device_bypasses;
     if attempts == 0 {
         return 0.0;
@@ -146,11 +150,11 @@ fn max_deviation(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
 }
 
 fn print_run(r: &Run) {
-    let s = &r.stats;
+    let s = &r.stats.counters;
     println!(
         "{:<18} {:>7} {:>8} {:>8} {:>8} {:>7.1}% {:>12} {:>9} {:>9} {:>7.1}%",
         r.label,
-        s.accepted,
+        r.stats.accepted,
         s.factorizations,
         s.factorizations - s.partial_refactorizations,
         s.partial_refactorizations,
@@ -243,13 +247,14 @@ fn main() {
         }
     }
     assert!(
-        b.stats.partial_refactorizations > 0,
+        b.stats.counters.partial_refactorizations > 0,
         "config B must actually take the partial path"
     );
 
-    let cols_c = column_ratio(&c.stats);
-    let byp_c = bypass_ratio(&c.stats);
-    let ops_ratio = a.stats.factor_ops as f64 / c.stats.factor_ops.max(1) as f64;
+    let (ca, cc) = (&a.stats.counters, &c.stats.counters);
+    let cols_c = column_ratio(cc);
+    let byp_c = bypass_ratio(cc);
+    let ops_ratio = ca.factor_ops as f64 / cc.factor_ops.max(1) as f64;
     let deviation = max_deviation(&a.states, &c.states);
     println!(
         "\nC vs A: {:.1}% columns recomputed/iterate, {:.1}% CNFET evals bypassed, \

@@ -1,5 +1,5 @@
-//! Netlist scaling: dense vs sparse MNA solving on CNFET inverter
-//! chains of growing size.
+//! Netlist scaling: the engine's sparse LU against the dense reference
+//! LU on CNFET inverter chains of growing size.
 //!
 //! For each chain length N the binary reports, at the DC operating
 //! point's Jacobian:
@@ -7,9 +7,8 @@
 //! * unknown count and Jacobian nonzeros,
 //! * per-factorisation operation counts (dense formula vs the sparse
 //!   solver's measured multiply–accumulate counter),
-//! * wall-clock assembly / factor / solve times for both backends,
-//! * full DC operating-point wall-clock for both backends and the
-//!   maximum node voltage disagreement between them.
+//! * wall-clock refactorisation times for both factorisations,
+//! * the full DC operating-point wall-clock of the engine.
 //!
 //! Chain sizes default to 2…256 (doubling); pass explicit sizes as
 //! arguments for a quicker run (CI smoke-tests `netlist_scaling 2 8`).
@@ -82,20 +81,10 @@ fn main() {
     let model = Arc::new(CompactCntFet::model2(paper_device(300.0, -0.32)).expect("model 2 fit"));
     let tech = CntTechnology::symmetric(model, 0.8);
 
-    println!("CNFET inverter-chain scaling: dense vs sparse MNA engine");
+    println!("CNFET inverter-chain scaling: sparse engine LU vs dense reference LU");
     println!(
-        "{:>5} {:>7} {:>7} {:>12} {:>12} {:>7} {:>9} {:>9} {:>9} {:>9} {:>10}",
-        "N",
-        "unk",
-        "nnz",
-        "dense_ops",
-        "sparse_ops",
-        "ratio",
-        "fact_d/ms",
-        "fact_s/ms",
-        "dc_d/ms",
-        "dc_s/ms",
-        "max|dV|"
+        "{:>5} {:>7} {:>7} {:>12} {:>12} {:>7} {:>9} {:>9} {:>9}",
+        "N", "unk", "nnz", "dense_ops", "sparse_ops", "ratio", "fact_d/ms", "fact_s/ms", "dc/ms"
     );
 
     // Bootstrap seed when the smallest requested size is already large:
@@ -113,48 +102,28 @@ fn main() {
         let circuit = chain_circuit(&tech, n);
         let unknowns = circuit.unknown_count();
 
-        // Full nonlinear solves through each backend. Cold Newton on a
-        // long chain is genuinely hard, so every size warm-starts from
-        // the previous size's solution (stage replication) — the same
-        // guess for both backends, and a realistic incremental workflow.
-        let dense_opts = NewtonOptions {
-            solver: SolverKind::Dense,
-            ..NewtonOptions::default()
-        };
-        let sparse_opts = NewtonOptions {
-            solver: SolverKind::Sparse,
-            ..NewtonOptions::default()
-        };
+        // The full nonlinear solve. Cold Newton on a long chain is
+        // genuinely hard, so every size warm-starts from the previous
+        // size's solution (stage replication) — a realistic incremental
+        // workflow.
         let guess: Option<Vec<f64>> = seed
             .as_ref()
             .filter(|(m, _)| *m <= n)
             .map(|(m, x)| extend_guess(x, *m, n));
-        let mut sol_dense = None;
-        let dc_dense_ms = time_ms(|| {
-            sol_dense = Some(
-                NewtonEngine::new(dense_opts)
+        let mut engine = NewtonEngine::new(NewtonOptions::default());
+        let mut sol = None;
+        let dc_ms = time_ms(|| {
+            sol = Some(
+                engine
                     .dc_operating_point(&circuit, guess.as_deref())
-                    .expect("dense dc"),
+                    .expect("dc"),
             );
         });
-        let mut sol_sparse = None;
-        let dc_sparse_ms = time_ms(|| {
-            sol_sparse = Some(
-                NewtonEngine::new(sparse_opts)
-                    .dc_operating_point(&circuit, guess.as_deref())
-                    .expect("sparse dc"),
-            );
-        });
-        let sol_dense = sol_dense.expect("dense solution");
-        let sol_sparse = sol_sparse.expect("sparse solution");
-        seed = Some((n, sol_sparse.x.clone()));
-        let max_dv = (0..circuit.node_count())
-            .map(|i| (sol_dense.x[i] - sol_sparse.x[i]).abs())
-            .fold(0.0f64, f64::max);
+        let sol = sol.expect("dc solution");
+        seed = Some((n, sol.x.clone()));
 
         // One Jacobian at the operating point, factored by both solvers.
-        let mut engine = NewtonEngine::new(sparse_opts);
-        let (_, jac) = engine.assemble(&circuit, &sol_sparse.x, &AnalysisMode::Dc, 0.0);
+        let (_, jac) = engine.assemble(&circuit, &sol.x, &AnalysisMode::Dc, 0.0);
         let jac = jac.clone();
         let nnz = jac.nnz();
         let mut dense_solver = DenseLuSolver::new();
@@ -193,7 +162,7 @@ fn main() {
         );
 
         println!(
-            "{:>5} {:>7} {:>7} {:>12} {:>12} {:>7.1} {:>9.3} {:>9.3} {:>9.1} {:>9.1} {:>10.2e}",
+            "{:>5} {:>7} {:>7} {:>12} {:>12} {:>7.1} {:>9.3} {:>9.3} {:>9.1}",
             n,
             unknowns,
             nnz,
@@ -202,9 +171,7 @@ fn main() {
             dense_ops as f64 / sparse_ops as f64,
             fact_dense_ms,
             fact_sparse_ms,
-            dc_dense_ms,
-            dc_sparse_ms,
-            max_dv,
+            dc_ms,
         );
 
         if n >= 64 {

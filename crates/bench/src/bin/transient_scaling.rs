@@ -85,7 +85,7 @@ fn print_row(r: &Row, p_ref: f64) {
         r.stats.accepted,
         r.stats.rejected_lte + r.stats.rejected_newton,
         r.stats.newton_iterations,
-        r.stats.factor_ops,
+        r.stats.counters.factor_ops,
         r.period * 1e12,
         (r.period - p_ref) / p_ref * 100.0,
     );

@@ -38,7 +38,7 @@
 //! through [`crate::sim::Simulator::ac`].
 
 use crate::element::{AnalysisMode, TransientStamp};
-use crate::engine::NewtonEngine;
+use crate::engine::{EngineCounters, NewtonEngine};
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, NodeId};
 use crate::sim::Probe;
@@ -205,23 +205,11 @@ pub struct AcStats {
     pub frequencies: usize,
     /// Stored entries of the shared (real) sparsity pattern.
     pub jacobian_nnz: usize,
-    /// Full pivot-searching complex factorisations (1 per sweep unless
-    /// a frozen pivot collapsed numerically).
-    pub symbolic_factorizations: u64,
-    /// Fast elimination-replay factorisations (full replays; partial
-    /// replays count separately).
-    pub refactorizations: u64,
-    /// Partial replays that recomputed only the columns reached from
-    /// the frequency-dependent (capacitive) matrix slots — the normal
-    /// path for every frequency after the first.
-    pub partial_refactorizations: u64,
-    /// Columns actually recomputed across the sweep's factorisations.
-    pub columns_recomputed: u64,
-    /// Columns a full-replay sweep would have recomputed.
-    pub columns_total: u64,
-    /// Cumulative complex multiply–accumulate/divide operations across
-    /// all factorisations of the sweep.
-    pub factor_ops: u64,
+    /// Engine counters of the sweep: the two linearisation assemblies'
+    /// device evaluations plus one complex factorisation per frequency
+    /// — a pivot-searching one first, then (normally) partial replays
+    /// of the capacitive slots.
+    pub counters: EngineCounters,
 }
 
 /// Result of an AC sweep: per-frequency complex phasors of every
@@ -397,6 +385,7 @@ pub(crate) fn ac_core(
             hist: vec![0.0; n],
         })
     };
+    let base = engine.counters();
     let (pattern, g) = {
         let (_, j) = engine.assemble(circuit, op_x, &stamp(0.0), 0.0);
         (Arc::clone(j.pattern()), j.values().to_vec())
@@ -449,16 +438,15 @@ pub(crate) fn ac_core(
         }
     }
 
-    let path = lu.factor_path_stats();
+    engine.record(EngineCounters {
+        factorizations: n_points as u64,
+        factor_ops,
+        ..EngineCounters::from(lu.factor_path_stats())
+    });
     let stats = AcStats {
         frequencies: n_points,
         jacobian_nnz: pattern.nnz(),
-        symbolic_factorizations: lu.symbolic_factor_count(),
-        refactorizations: lu.refactor_count(),
-        partial_refactorizations: path.partial_refactorizations,
-        columns_recomputed: path.columns_recomputed,
-        columns_total: path.columns_total,
-        factor_ops,
+        counters: engine.counters().delta_since(&base),
     };
     Ok(AcResponse {
         freqs,
@@ -547,19 +535,24 @@ mod tests {
         let mut sim = Simulator::new(rc_lowpass(1e3, 1e-9));
         let res = sim.ac(&AcSweep::decade("V1", 1e3, 1e6, 5)).unwrap();
         let s = res.stats();
+        let c = &s.counters;
         assert_eq!(s.frequencies, res.len());
-        assert_eq!(s.symbolic_factorizations, 1, "ordered once");
+        assert_eq!(c.factorizations as usize, s.frequencies);
+        assert_eq!(c.symbolic_factorizations, 1, "ordered once");
         assert_eq!(
-            s.partial_refactorizations as usize,
+            c.partial_refactorizations as usize,
             s.frequencies - 1,
             "every later frequency partially replays the plan"
         );
-        assert_eq!(s.refactorizations, 0, "no full replay is ever needed");
+        assert_eq!(
+            c.replay_refactorizations, 0,
+            "no full replay is ever needed"
+        );
         assert!(
-            s.columns_recomputed <= s.columns_total,
+            c.columns_recomputed <= c.columns_total,
             "partial path recomputes at most every column"
         );
-        assert!(s.jacobian_nnz > 0 && s.factor_ops > 0);
+        assert!(s.jacobian_nnz > 0 && c.factor_ops > 0);
     }
 
     #[test]

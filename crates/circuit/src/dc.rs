@@ -1,14 +1,9 @@
-//! Nonlinear DC operating-point solver: damped Newton with a gmin ramp.
+//! The DC operating-point result type.
 //!
-//! The iteration itself lives in [`crate::engine`]; this module keeps
-//! the legacy entry points ([`solve_dc`], [`solve_dc_with`] — now
-//! deprecated wrappers over a throwaway engine) and the [`Solution`]
-//! type. New code should call [`crate::sim::Simulator::op`], which
-//! additionally shares solver caches and warm starts across analyses.
-
-use crate::engine::{NewtonEngine, NewtonOptions};
-use crate::error::CircuitError;
-use crate::netlist::Circuit;
+//! The damped-Newton iteration with its gmin ramp lives in
+//! [`crate::engine`]; solve operating points through
+//! [`crate::sim::Simulator::op`], which shares solver caches and warm
+//! starts across analyses.
 
 /// A converged solution of the MNA system.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,63 +22,11 @@ impl Solution {
     }
 }
 
-/// Solves the DC operating point with default [`NewtonOptions`].
-///
-/// Plain Newton from `initial` (or all zeros) is tried first; if it
-/// fails, a gmin ramp (1e-3 → 0) continues from the best available
-/// iterate.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::NoConvergence`] if even the gmin ramp fails,
-/// or [`CircuitError::SingularSystem`] for structurally singular circuits
-/// (floating nodes without any DC path).
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `sim::Simulator` session and call `op()` so the solver \
-            caches and operating point are shared across analyses"
-)]
-pub fn solve_dc(circuit: &Circuit, initial: Option<&[f64]>) -> Result<Solution, CircuitError> {
-    // Calls the engine directly (not the sibling deprecated wrapper):
-    // nothing inside the crate depends on a deprecated entry point.
-    NewtonEngine::new(NewtonOptions::default()).dc_operating_point(circuit, initial)
-}
-
-/// [`solve_dc`] with explicit [`NewtonOptions`] (tolerances, damping,
-/// solver selection).
-///
-/// For repeated solves of one circuit (sweeps, bias stepping), build a
-/// [`crate::sim::Simulator`] session (or a [`NewtonEngine`] directly)
-/// so the sparsity pattern and solver ordering are reused across
-/// solves.
-///
-/// # Errors
-///
-/// Same as [`solve_dc`].
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `sim::Simulator` session with `Simulator::with_options` \
-            and call `op()`"
-)]
-pub fn solve_dc_with(
-    circuit: &Circuit,
-    initial: Option<&[f64]>,
-    options: &NewtonOptions,
-) -> Result<Solution, CircuitError> {
-    NewtonEngine::new(*options).dc_operating_point(circuit, initial)
-}
-
 #[cfg(test)]
 mod tests {
-    // These tests exercise the deprecated wrappers on purpose: legacy
-    // entry points must keep their exact behaviour on top of the
-    // session cores.
-    #![allow(deprecated)]
-
-    use super::*;
     use crate::element::{CurrentSource, Resistor, VoltageSource};
-    use crate::engine::SolverKind;
     use crate::netlist::Circuit;
+    use crate::sim::Simulator;
 
     #[test]
     fn resistive_divider() {
@@ -93,9 +36,9 @@ mod tests {
         c.add(VoltageSource::dc("V1", vin, Circuit::ground(), 2.0));
         c.add(Resistor::new("R1", vin, out, 1e3));
         c.add(Resistor::new("R2", out, Circuit::ground(), 3e3));
-        let sol = solve_dc(&c, None).unwrap();
-        assert!((sol.voltage(out) - 1.5).abs() < 1e-9);
-        assert!((sol.voltage(vin) - 2.0).abs() < 1e-12);
+        let op = Simulator::new(c).op().unwrap();
+        assert!((op.voltage_at(out) - 1.5).abs() < 1e-9);
+        assert!((op.voltage_at(vin) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -104,8 +47,8 @@ mod tests {
         let a = c.node("a");
         c.add(CurrentSource::dc("I1", Circuit::ground(), a, 1e-3));
         c.add(Resistor::new("R1", a, Circuit::ground(), 2e3));
-        let sol = solve_dc(&c, None).unwrap();
-        assert!((sol.voltage(a) - 2.0).abs() < 1e-9);
+        let op = Simulator::new(c).op().unwrap();
+        assert!((op.voltage_at(a) - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -114,10 +57,10 @@ mod tests {
         let a = c.node("a");
         c.add(VoltageSource::dc("V1", a, Circuit::ground(), 5.0));
         c.add(Resistor::new("R1", a, Circuit::ground(), 1e3));
-        let sol = solve_dc(&c, None).unwrap();
-        // Source supplies 5 mA; branch current (out of +) is −5 mA.
         let bases = c.extra_var_bases();
-        assert!((sol.x[bases[0]] + 5e-3).abs() < 1e-9);
+        let op = Simulator::new(c).op().unwrap();
+        // Source supplies 5 mA; branch current (out of +) is −5 mA.
+        assert!((op.x()[bases[0]] + 5e-3).abs() < 1e-9);
     }
 
     #[test]
@@ -128,9 +71,9 @@ mod tests {
         c.add(VoltageSource::dc("VA", a, Circuit::ground(), 1.0));
         c.add(VoltageSource::dc("VB", b, Circuit::ground(), 2.0));
         c.add(Resistor::new("R1", a, b, 1e3));
-        let sol = solve_dc(&c, None).unwrap();
-        assert!((sol.voltage(a) - 1.0).abs() < 1e-12);
-        assert!((sol.voltage(b) - 2.0).abs() < 1e-12);
+        let op = Simulator::new(c).op().unwrap();
+        assert!((op.voltage_at(a) - 1.0).abs() < 1e-12);
+        assert!((op.voltage_at(b) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -142,31 +85,31 @@ mod tests {
         let a = c.node("a");
         let b = c.node("b");
         c.add(Resistor::new("R1", a, b, 1e3));
-        let sol = solve_dc(&c, None).unwrap();
-        assert!(sol.voltage(a).abs() < 1e-9);
-        assert!(sol.voltage(b).abs() < 1e-9);
+        let op = Simulator::new(c).op().unwrap();
+        assert!(op.voltage_at(a).abs() < 1e-9);
+        assert!(op.voltage_at(b).abs() < 1e-9);
     }
 
     #[test]
     fn floating_nodes_resolve_with_sparse_solver_too() {
+        // The singular first attempt must leave the sparse solver's
+        // frozen plan usable: a second solve on the same session still
+        // settles the floating pair at 0 V.
         let mut c = Circuit::new();
         let a = c.node("a");
         let b = c.node("b");
         c.add(Resistor::new("R1", a, b, 1e3));
-        let opts = NewtonOptions {
-            solver: SolverKind::Sparse,
-            ..NewtonOptions::default()
-        };
-        let sol = solve_dc_with(&c, None, &opts).unwrap();
-        assert!(sol.voltage(a).abs() < 1e-9);
-        assert!(sol.voltage(b).abs() < 1e-9);
+        let mut sim = Simulator::new(c);
+        sim.op().unwrap();
+        let op = sim.op().unwrap();
+        assert!(op.voltage_at(a).abs() < 1e-9);
+        assert!(op.voltage_at(b).abs() < 1e-9);
     }
 
     #[test]
     fn empty_circuit_solves_trivially() {
-        let c = Circuit::new();
-        let sol = solve_dc(&c, None).unwrap();
-        assert!(sol.x.is_empty());
+        let op = Simulator::new(Circuit::new()).op().unwrap();
+        assert!(op.x().is_empty());
     }
 
     #[test]
@@ -177,9 +120,10 @@ mod tests {
         c.add(VoltageSource::dc("V1", vin, Circuit::ground(), 2.0));
         c.add(Resistor::new("R1", vin, out, 1e3));
         c.add(Resistor::new("R2", out, Circuit::ground(), 1e3));
-        let cold = solve_dc(&c, None).unwrap();
-        let warm = solve_dc(&c, Some(&cold.x)).unwrap();
-        assert!(warm.iterations <= cold.iterations);
-        assert!((warm.voltage(out) - cold.voltage(out)).abs() < 1e-12);
+        let mut sim = Simulator::new(c);
+        let cold = sim.op().unwrap();
+        let warm = sim.op().unwrap();
+        assert!(warm.iterations() <= cold.iterations());
+        assert!((warm.voltage_at(out) - cold.voltage_at(out)).abs() < 1e-12);
     }
 }

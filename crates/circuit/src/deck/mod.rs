@@ -365,10 +365,6 @@ pub enum OptionEntry {
     /// ([`NewtonOptions::bypass_vtol`](crate::engine::NewtonOptions::bypass_vtol),
     /// default `1e-6`). Validated positive at parse time.
     BypassVtol(f64),
-    /// `solver=auto|dense|sparse` — linear-solver selection
-    /// ([`NewtonOptions::solver`](crate::engine::NewtonOptions::solver),
-    /// default `auto`).
-    Solver(crate::engine::SolverKind),
     /// `limiting=0|1` — per-device voltage limiting of Newton steps
     /// ([`NewtonOptions::limiting`](crate::engine::NewtonOptions::limiting),
     /// default on).
@@ -393,7 +389,6 @@ impl OptionEntry {
             OptionEntry::DtMin(_) => "dtmin",
             OptionEntry::Bypass(_) => "bypass",
             OptionEntry::BypassVtol(_) => "bypassvtol",
-            OptionEntry::Solver(_) => "solver",
             OptionEntry::Limiting(_) => "limiting",
             OptionEntry::ArmijoC1(_) => "armijo_c1",
             OptionEntry::Ptc(_) => "ptc",
@@ -407,11 +402,6 @@ impl OptionEntry {
                 String::from(if *b { "1" } else { "0" })
             }
             OptionEntry::BypassVtol(v) | OptionEntry::ArmijoC1(v) => num(*v),
-            OptionEntry::Solver(kind) => String::from(match kind {
-                crate::engine::SolverKind::Auto => "auto",
-                crate::engine::SolverKind::Dense => "dense",
-                crate::engine::SolverKind::Sparse => "sparse",
-            }),
         }
     }
 }
@@ -763,8 +753,8 @@ impl Deck {
     }
 
     /// The Newton options the deck's `.option` cards select: defaults
-    /// with `bypass`, `bypassvtol` and `solver` entries applied in
-    /// source order (later entries win). These drive `.op` and `.dc`
+    /// with `bypass`, `bypassvtol`, `limiting`, `armijo_c1` and `ptc`
+    /// entries applied in source order (later entries win). These drive `.op` and `.dc`
     /// cards directly; `.tran` cards take them through
     /// [`Deck::transient_options`].
     pub fn newton_options(&self) -> crate::engine::NewtonOptions {
@@ -800,7 +790,6 @@ impl Deck {
                 match entry {
                     OptionEntry::Bypass(b) => newton.bypass = *b,
                     OptionEntry::BypassVtol(v) => newton.bypass_vtol = *v,
-                    OptionEntry::Solver(kind) => newton.solver = *kind,
                     OptionEntry::Limiting(b) => newton.limiting = *b,
                     OptionEntry::ArmijoC1(c) => newton.armijo_c1 = *c,
                     OptionEntry::Ptc(b) => newton.ptc = *b,

@@ -20,7 +20,6 @@ use super::{
 };
 use crate::cnfet::Polarity;
 use crate::element::Waveform;
-use crate::engine::SolverKind;
 use crate::error::CircuitError;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -1221,6 +1220,16 @@ fn parse_model(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<ModelCard, Dec
     Ok(card)
 }
 
+/// The `0|1|on|off` value of the boolean option `key`.
+fn next_switch(cur: &mut Cursor<'_>, key: &str) -> Result<bool, DeckError> {
+    let (v, span) = cur.next_word("0 or 1")?;
+    match v.to_ascii_lowercase().as_str() {
+        "1" | "on" => Ok(true),
+        "0" | "off" => Ok(false),
+        other => Err(cur.at(span, format!("{key} must be 0 or 1, got '{other}'"))),
+    }
+}
+
 fn parse_option(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<OptionCard, DeckError> {
     let mut entries = Vec::new();
     while cur.peek().is_some() {
@@ -1234,46 +1243,11 @@ fn parse_option(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<OptionCard, D
                 OptionEntry::AbsTol(cur.next_positive("the absolute LTE tolerance in volts")?)
             }
             "dtmin" => OptionEntry::DtMin(cur.next_positive("the minimum step size in seconds")?),
-            "bypass" => {
-                let (v, span) = cur.next_word("0 or 1")?;
-                let on = match v.to_ascii_lowercase().as_str() {
-                    "1" | "on" => true,
-                    "0" | "off" => false,
-                    other => {
-                        return Err(cur.at(span, format!("bypass must be 0 or 1, got '{other}'")))
-                    }
-                };
-                OptionEntry::Bypass(on)
-            }
+            "bypass" => OptionEntry::Bypass(next_switch(cur, "bypass")?),
             "bypassvtol" => {
                 OptionEntry::BypassVtol(cur.next_positive("the bypass voltage tolerance in volts")?)
             }
-            "solver" => {
-                let (v, span) = cur.next_word("the solver (auto, dense or sparse)")?;
-                let kind = match v.to_ascii_lowercase().as_str() {
-                    "auto" => SolverKind::Auto,
-                    "dense" => SolverKind::Dense,
-                    "sparse" => SolverKind::Sparse,
-                    other => {
-                        return Err(cur.at(
-                            span,
-                            format!("solver must be auto, dense or sparse, got '{other}'"),
-                        ))
-                    }
-                };
-                OptionEntry::Solver(kind)
-            }
-            "limiting" => {
-                let (v, span) = cur.next_word("0 or 1")?;
-                let on = match v.to_ascii_lowercase().as_str() {
-                    "1" | "on" => true,
-                    "0" | "off" => false,
-                    other => {
-                        return Err(cur.at(span, format!("limiting must be 0 or 1, got '{other}'")))
-                    }
-                };
-                OptionEntry::Limiting(on)
-            }
+            "limiting" => OptionEntry::Limiting(next_switch(cur, "limiting")?),
             "armijo_c1" => {
                 let (c, span) = cur.next_value("the Armijo sufficient-decrease constant")?;
                 if !(c > 0.0 && c < 1.0) {
@@ -1284,15 +1258,7 @@ fn parse_option(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<OptionCard, D
                 }
                 OptionEntry::ArmijoC1(c)
             }
-            "ptc" => {
-                let (v, span) = cur.next_word("0 or 1")?;
-                let on = match v.to_ascii_lowercase().as_str() {
-                    "1" | "on" => true,
-                    "0" | "off" => false,
-                    other => return Err(cur.at(span, format!("ptc must be 0 or 1, got '{other}'"))),
-                };
-                OptionEntry::Ptc(on)
-            }
+            "ptc" => OptionEntry::Ptc(next_switch(cur, "ptc")?),
             _ => {
                 let known = [
                     "reltol",
@@ -1300,7 +1266,6 @@ fn parse_option(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<OptionCard, D
                     "dtmin",
                     "bypass",
                     "bypassvtol",
-                    "solver",
                     "limiting",
                     "armijo_c1",
                     "ptc",

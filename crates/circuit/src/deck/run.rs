@@ -36,71 +36,11 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Hot-path solver counters of one analysis card, printed by
-/// `cntfet-sim --stats`. Each card runs on a fresh session, so these
-/// are exact per-card numbers, not session-cumulative ones. AC cards
-/// fold their complex per-frequency factorisations into the same
-/// fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CardStats {
-    /// Linear-system factorisations, full and partial alike.
-    pub factorizations: u64,
-    /// Factorisations that took a full path: pivot-searching symbolic
-    /// factorisations plus full replays of a frozen plan.
-    pub full_refactorizations: u64,
-    /// Factorisations that replayed only the columns reached from
-    /// changed matrix values.
-    pub partial_refactorizations: u64,
-    /// Columns actually recomputed across all factorisations.
-    pub columns_recomputed: u64,
-    /// Columns a full-replay run would have recomputed.
-    pub columns_total: u64,
-    /// Nonlinear device model evaluations that ran in full.
-    pub device_evals: u64,
-    /// Device evaluations skipped by the bypass layer.
-    pub device_bypasses: u64,
-    /// Newton steps scaled down by per-device voltage limiting.
-    pub limiter_clamps: u64,
-    /// Armijo line-search backtracks (step halvings actually taken).
-    pub armijo_backtracks: u64,
-    /// Pseudo-transient continuation stages that converged.
-    pub ptc_steps: u64,
-}
-
-impl CardStats {
-    fn from_counters(c: EngineCounters) -> Self {
-        CardStats {
-            factorizations: c.factorizations,
-            full_refactorizations: c.symbolic_factorizations + c.replay_refactorizations,
-            partial_refactorizations: c.partial_refactorizations,
-            columns_recomputed: c.columns_recomputed,
-            columns_total: c.columns_total,
-            device_evals: c.device_evals,
-            device_bypasses: c.device_bypasses,
-            limiter_clamps: c.limiter_clamps,
-            armijo_backtracks: c.armijo_backtracks,
-            ptc_steps: c.ptc_steps,
-        }
-    }
-
-    /// One-line human-readable rendering (the `--stats` output body).
-    pub fn summary(&self) -> String {
-        format!(
-            "factorizations {} (full {}, partial {}), columns recomputed {}/{}, \
-             device evals {}, bypassed {}, limiter clamps {}, armijo backtracks {}, \
-             ptc stages {}",
-            self.factorizations,
-            self.full_refactorizations,
-            self.partial_refactorizations,
-            self.columns_recomputed,
-            self.columns_total,
-            self.device_evals,
-            self.device_bypasses,
-            self.limiter_clamps,
-            self.armijo_backtracks,
-            self.ptc_steps,
-        )
-    }
-}
+/// `cntfet-sim --stats` and served per report by `cntfet-serve`: the
+/// card's share of its engine's [`EngineCounters`]. Each card runs on
+/// a fresh session, so these are exact per-card numbers; an AC card's
+/// complex per-frequency factorisations count like any other.
+pub type CardStats = EngineCounters;
 
 /// The probe output of one analysis card: named columns over f64 rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -259,6 +199,9 @@ pub struct ReportHeader {
     pub columns: Vec<String>,
 }
 
+/// A card's column names and its rows, in column order.
+type Rows = (Vec<String>, Vec<Vec<f64>>);
+
 impl Deck {
     /// Runs every analysis card (see the [module docs](super) for the
     /// per-card semantics) and collects the probe reports.
@@ -333,20 +276,22 @@ impl Deck {
             // Counters are engine-lifetime cumulative; baseline them so
             // per-card stats stay exact with a shared engine.
             let base = sim.counters();
-            let report = match analysis {
-                AnalysisCard::Op(card) => self.run_op(&mut sim, card, analysis, index, base, emit),
-                AnalysisCard::Dc(card) => self.run_dc(&mut sim, card, analysis, index, base, emit),
-                AnalysisCard::Tran(card) => {
-                    self.run_tran(&mut sim, card, analysis, index, base, emit)
-                }
-                AnalysisCard::Ac(card) => self.run_ac(&mut sim, card, analysis, index, base, emit),
+            let label = analysis.to_string();
+            let (columns, rows) = match analysis {
+                AnalysisCard::Op(card) => self.run_op(&mut sim, card, &label, index, emit),
+                AnalysisCard::Dc(card) => self.run_dc(&mut sim, card, &label, index, emit),
+                AnalysisCard::Tran(card) => self.run_tran(&mut sim, card, &label, index, emit),
+                AnalysisCard::Ac(card) => self.run_ac(&mut sim, card, &label, index, emit),
             }?;
-            emit(RunEvent::ReportEnd {
-                index,
-                stats: report.stats,
-            });
+            let stats = sim.counters().delta_since(&base);
+            emit(RunEvent::ReportEnd { index, stats });
             warm = Some(sim.into_engine());
-            reports.push(report);
+            reports.push(AnalysisReport {
+                label,
+                columns,
+                rows,
+                stats,
+            });
         }
         if let (Some(pool), Some(engine)) = (ctx.engines, warm) {
             pool.put(topology, engine);
@@ -364,21 +309,19 @@ impl Deck {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_op(
         &self,
         sim: &mut Simulator,
         card: &OpCard,
-        analysis: &AnalysisCard,
+        label: &str,
         index: usize,
-        base: EngineCounters,
         emit: &mut dyn FnMut(RunEvent),
-    ) -> Result<AnalysisReport, DeckError> {
+    ) -> Result<Rows, DeckError> {
         let probes = self.probes(AnalysisKind::Op);
         let columns: Vec<String> = probes.iter().map(|n| format!("v({n})")).collect();
         emit(RunEvent::ReportStart(ReportHeader {
             index,
-            label: analysis.to_string(),
+            label: label.to_string(),
             columns: columns.clone(),
         }));
         let op = sim.op().map_err(|e| card.origin.circuit_error(&e))?;
@@ -394,30 +337,23 @@ impl Deck {
             index,
             rows: rows.clone(),
         });
-        Ok(AnalysisReport {
-            label: analysis.to_string(),
-            columns,
-            rows,
-            stats: CardStats::from_counters(sim.counters().delta_since(&base)),
-        })
+        Ok((columns, rows))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_dc(
         &self,
         sim: &mut Simulator,
         card: &DcCard,
-        analysis: &AnalysisCard,
+        label: &str,
         index: usize,
-        base: EngineCounters,
         emit: &mut dyn FnMut(RunEvent),
-    ) -> Result<AnalysisReport, DeckError> {
+    ) -> Result<Rows, DeckError> {
         let probes = self.probes(AnalysisKind::Dc);
         let mut columns = vec![card.source.clone()];
         columns.extend(probes.iter().map(|n| format!("v({n})")));
         emit(RunEvent::ReportStart(ReportHeader {
             index,
-            label: analysis.to_string(),
+            label: label.to_string(),
             columns: columns.clone(),
         }));
         let result = sim
@@ -446,24 +382,17 @@ impl Deck {
             index,
             rows: rows.clone(),
         });
-        Ok(AnalysisReport {
-            label: analysis.to_string(),
-            columns,
-            rows,
-            stats: CardStats::from_counters(sim.counters().delta_since(&base)),
-        })
+        Ok((columns, rows))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_tran(
         &self,
         sim: &mut Simulator,
         card: &TranCard,
-        analysis: &AnalysisCard,
+        label: &str,
         index: usize,
-        base: EngineCounters,
         emit: &mut dyn FnMut(RunEvent),
-    ) -> Result<AnalysisReport, DeckError> {
+    ) -> Result<Rows, DeckError> {
         let probes = self.probes(AnalysisKind::Tran);
         let mut spec = match card.dt {
             Some(dt) => TransientSpec::fixed(card.t_stop, dt),
@@ -494,7 +423,7 @@ impl Deck {
         columns.extend(probes.iter().map(|n| format!("v({n})")));
         emit(RunEvent::ReportStart(ReportHeader {
             index,
-            label: analysis.to_string(),
+            label: label.to_string(),
             columns: columns.clone(),
         }));
         // Stream one row per accepted step straight from the solver's
@@ -539,24 +468,17 @@ impl Deck {
                 row
             })
             .collect();
-        Ok(AnalysisReport {
-            label: analysis.to_string(),
-            columns,
-            rows,
-            stats: CardStats::from_counters(sim.counters().delta_since(&base)),
-        })
+        Ok((columns, rows))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_ac(
         &self,
         sim: &mut Simulator,
         card: &AcCard,
-        analysis: &AnalysisCard,
+        label: &str,
         index: usize,
-        base: EngineCounters,
         emit: &mut dyn FnMut(RunEvent),
-    ) -> Result<AnalysisReport, DeckError> {
+    ) -> Result<Rows, DeckError> {
         let probes = self.probes(AnalysisKind::Ac);
         let grid = match card.scale {
             AcScale::Dec => FreqGrid::Decade {
@@ -581,7 +503,7 @@ impl Deck {
         }
         emit(RunEvent::ReportStart(ReportHeader {
             index,
-            label: analysis.to_string(),
+            label: label.to_string(),
             columns: columns.clone(),
         }));
         let response = sim.ac(&sweep).map_err(|e| card.origin.circuit_error(&e))?;
@@ -617,23 +539,6 @@ impl Deck {
             index,
             rows: rows.clone(),
         });
-        // Fold the AC sweep's complex factorisations into the card
-        // stats on top of the engine's real-valued operating-point
-        // work (sweeps reuse the frozen ordering partially per
-        // frequency, same as the Newton path).
-        let mut stats = CardStats::from_counters(sim.counters().delta_since(&base));
-        let s = response.stats();
-        stats.factorizations +=
-            s.symbolic_factorizations + s.refactorizations + s.partial_refactorizations;
-        stats.full_refactorizations += s.symbolic_factorizations + s.refactorizations;
-        stats.partial_refactorizations += s.partial_refactorizations;
-        stats.columns_recomputed += s.columns_recomputed;
-        stats.columns_total += s.columns_total;
-        Ok(AnalysisReport {
-            label: analysis.to_string(),
-            columns,
-            rows,
-            stats,
-        })
+        Ok((columns, rows))
     }
 }

@@ -11,10 +11,9 @@
 //!   every later iteration — across damping trials, gmin steps, sweep
 //!   points and transient steps — writes values into preallocated slots
 //!   with no allocation;
-//! * a [`LinearSolver`]: either the dense-LU fallback or the sparse LU
-//!   that reuses its pivot order and fill-in pattern across
-//!   factorizations. [`SolverKind::Auto`] picks the sparse path once the
-//!   system is large enough for the O(n³) dense factor to dominate.
+//! * a [`SparseLuSolver`] that picks its pivot order and fill-in
+//!   pattern once and replays the frozen elimination across
+//!   factorizations (fully, or partially from the changed slots).
 //!
 //! The cache is keyed on [`Circuit::id`], [`Circuit::revision`], the
 //! unknown count and the analysis *kind* (DC vs transient), so a
@@ -39,48 +38,24 @@
 //!   which is why they get a separate (tighter) threshold;
 //! * `max_step_halvings` bounds the damping line search inside one
 //!   iteration; after the budget the smallest trial step is adopted
-//!   unconditionally so Newton can escape shallow plateaus;
-//! * `solver` / `sparse_threshold`: [`SolverKind::Auto`] compares the
-//!   unknown count against `sparse_threshold` (default 32) once per
-//!   cache build. Below it, the dense LU wins on constant factors and
-//!   reproduces the historical floating-point stream bit-for-bit; above
-//!   it, the sparse LU's frozen-ordering replay factorisations dominate
-//!   (the `netlist_scaling` bench measures the crossover).
+//!   unconditionally so Newton can escape shallow plateaus.
 
 use crate::dc::Solution;
 use crate::element::{AnalysisMode, DeviceState, Mna, StampOutcome};
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
 use cntfet_numerics::sparse::{
-    structural_rank, CsrMatrix, DenseLuSolver, FactorPathStats, LinearSolver, PatternAssembler,
-    SparseLuSolver,
+    structural_rank, CsrMatrix, FactorPathStats, LinearSolver, PatternAssembler, SparseLuSolver,
 };
 use cntfet_numerics::stats::inf_norm;
 use std::fmt;
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Which linear solver backs the Newton iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// Sparse when the system has at least
-    /// [`NewtonOptions::sparse_threshold`] unknowns, dense below that.
-    Auto,
-    /// Always the dense partial-pivoting LU (the historical behaviour).
-    Dense,
-    /// Always the fill-reusing sparse LU.
-    Sparse,
-}
-
 /// Tuning knobs of the Newton iteration, shared by DC, transient and
 /// sweep analyses. [`NewtonOptions::default`] keeps the historical
-/// tolerances, damping schedule and iteration budget. Below the
-/// [`SolverKind::Auto`] threshold the dense backend reproduces the
-/// historical results bit-for-bit; above it the sparse backend takes
-/// over, whose different elimination order agrees to ≤ 1e-10 on node
-/// voltages (property-tested) but is not bitwise identical — callers
-/// that need the historical floating-point stream exactly should pin
-/// [`SolverKind::Dense`].
+/// tolerances, damping schedule and iteration budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewtonOptions {
     /// Iteration budget per Newton solve (per gmin step, per transient
@@ -95,15 +70,10 @@ pub struct NewtonOptions {
     pub extra_row_tol: f64,
     /// Maximum step halvings of the damping line search. Default 12.
     pub max_step_halvings: usize,
-    /// Linear solver selection. Default [`SolverKind::Auto`].
-    pub solver: SolverKind,
-    /// Unknown count at which [`SolverKind::Auto`] switches from dense
-    /// to sparse. Default 32.
-    pub sparse_threshold: usize,
-    /// Use KLU-style partial refactorization on the sparse path: diff
-    /// the assembled matrix values against the previous successful
-    /// factorization and replay only the columns reached from changed
-    /// slots through the frozen elimination DAG. Bitwise-identical to
+    /// Use KLU-style partial refactorization: diff the assembled matrix
+    /// values against the previous successful factorization and replay
+    /// only the columns reached from changed slots through the frozen
+    /// elimination DAG. Bitwise-identical to
     /// the full replay (the partial replay performs the same arithmetic
     /// on the recomputed columns and reuses the rest verbatim), so it
     /// is on by default. Default `true`.
@@ -122,9 +92,11 @@ pub struct NewtonOptions {
     /// Per-device voltage limiting ([`crate::element::Element::limit_step`]):
     /// before the line search, every element may propose a step scale
     /// that caps its per-iteration controlling-voltage swing
-    /// (SPICE3 `pnjlim`/`fetlim` lineage). A step already within every
-    /// device's limits is passed through untouched — bitwise — so
-    /// limiting only alters solves that were heading for trouble.
+    /// (SPICE3 `pnjlim`/`fetlim` lineage). It is **not** a no-op on
+    /// decks that converge without it: a healthy iteration that takes
+    /// a step beyond some device's window is clamped too, which changes
+    /// the float stream and often the iteration count. It stays on
+    /// because the generated adders fail to converge without it.
     /// Default `true`.
     pub limiting: bool,
     /// Sufficient-decrease constant `c₁` of the Armijo condition the
@@ -153,8 +125,6 @@ impl Default for NewtonOptions {
             node_current_tol: 1e-12,
             extra_row_tol: 1e-15,
             max_step_halvings: 12,
-            solver: SolverKind::Auto,
-            sparse_threshold: 32,
             partial_refactor: true,
             bypass: false,
             bypass_vtol: 1e-6,
@@ -183,9 +153,8 @@ struct Cache {
     circuit_id: u64,
     revision: u64,
     unknowns: usize,
-    sparse: bool,
     asm: PatternAssembler,
-    solver: Box<dyn LinearSolver>,
+    solver: SparseLuSolver,
     bases: Vec<usize>,
     /// `true` once this structure passed the structural-rank check, so
     /// repeated DC solves (sweep points, transient initial conditions)
@@ -207,71 +176,100 @@ struct Cache {
     last_path: FactorPathStats,
 }
 
-/// Cumulative hot-path counters of a [`NewtonEngine`], harvested with
-/// [`NewtonEngine::counters`]. All counts are engine-lifetime
-/// cumulative — an analysis that wants its own share captures a
-/// baseline first and calls [`EngineCounters::delta_since`] after, the
-/// per-analysis discipline used by [`crate::transient::TransientStats`]
-/// and [`crate::ac::AcStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EngineCounters {
+/// Declares [`EngineCounters`] from one field list, so the struct, its
+/// arithmetic and its `(name, value)` listing cannot drift apart: a
+/// field added here reaches `cntfet-sim --stats`, the per-card stats
+/// and the server JSON with no other edit.
+macro_rules! engine_counters {
+    ($($(#[$doc:meta])* $field:ident,)+) => {
+        /// Cumulative hot-path counters of a [`NewtonEngine`], harvested
+        /// with [`NewtonEngine::counters`]. All counts are
+        /// engine-lifetime cumulative — an analysis that wants its own
+        /// share captures a baseline first and calls
+        /// [`EngineCounters::delta_since`] after, the per-analysis
+        /// discipline used by [`crate::transient::TransientStats`],
+        /// [`crate::ac::AcStats`] and the deck layer's per-card stats.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct EngineCounters {
+            $($(#[$doc])* pub $field: u64,)+
+        }
+
+        impl EngineCounters {
+            /// Every counter as `(name, value)`, in declaration order —
+            /// the one list behind every textual and JSON rendering.
+            pub fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field)),+].into_iter()
+            }
+
+            fn zip_with(self, other: EngineCounters, f: fn(u64, u64) -> u64) -> EngineCounters {
+                EngineCounters {
+                    $($field: f(self.$field, other.$field),)+
+                }
+            }
+        }
+    };
+}
+
+engine_counters! {
     /// Jacobian factorizations (one per Newton iteration that reached
     /// the linear solve), full and partial alike.
-    pub factorizations: u64,
+    factorizations,
     /// Multiply–accumulate/divide operations across all factorizations.
-    pub factor_ops: u64,
+    factor_ops,
     /// Full pivot-searching factorizations (symbolic + numeric).
-    pub symbolic_factorizations: u64,
+    symbolic_factorizations,
     /// Full replays of a frozen elimination plan.
-    pub replay_refactorizations: u64,
+    replay_refactorizations,
     /// Partial replays that reused unaffected columns.
-    pub partial_refactorizations: u64,
+    partial_refactorizations,
     /// Columns actually recomputed, over every factorization path.
-    pub columns_recomputed: u64,
+    columns_recomputed,
     /// Columns that a full factorization would have recomputed.
-    pub columns_total: u64,
+    columns_total,
     /// Nonlinear device evaluations that ran the full model.
-    pub device_evals: u64,
+    device_evals,
     /// Nonlinear device evaluations skipped by the bypass layer.
-    pub device_bypasses: u64,
+    device_bypasses,
     /// Newton steps scaled down by per-device voltage limiting.
-    pub limiter_clamps: u64,
+    limiter_clamps,
     /// Armijo line-search backtracks (step halvings actually taken).
-    pub armijo_backtracks: u64,
+    armijo_backtracks,
     /// Pseudo-transient continuation stages that converged.
-    pub ptc_steps: u64,
+    ptc_steps,
 }
 
 impl EngineCounters {
     /// The counts accumulated since `baseline` (saturating, so a stale
     /// baseline from a different engine degrades to the raw counts).
     pub fn delta_since(&self, baseline: &EngineCounters) -> EngineCounters {
+        self.zip_with(*baseline, u64::saturating_sub)
+    }
+
+    /// One-line `name value, …` rendering of every counter (the
+    /// `cntfet-sim --stats` output body).
+    pub fn summary(&self) -> String {
+        let parts: Vec<String> = self.named().map(|(n, v)| format!("{n} {v}")).collect();
+        parts.join(", ")
+    }
+}
+
+impl From<FactorPathStats> for EngineCounters {
+    /// The factorization-path counts of a solver, every other counter 0.
+    fn from(path: FactorPathStats) -> EngineCounters {
         EngineCounters {
-            factorizations: self.factorizations.saturating_sub(baseline.factorizations),
-            factor_ops: self.factor_ops.saturating_sub(baseline.factor_ops),
-            symbolic_factorizations: self
-                .symbolic_factorizations
-                .saturating_sub(baseline.symbolic_factorizations),
-            replay_refactorizations: self
-                .replay_refactorizations
-                .saturating_sub(baseline.replay_refactorizations),
-            partial_refactorizations: self
-                .partial_refactorizations
-                .saturating_sub(baseline.partial_refactorizations),
-            columns_recomputed: self
-                .columns_recomputed
-                .saturating_sub(baseline.columns_recomputed),
-            columns_total: self.columns_total.saturating_sub(baseline.columns_total),
-            device_evals: self.device_evals.saturating_sub(baseline.device_evals),
-            device_bypasses: self
-                .device_bypasses
-                .saturating_sub(baseline.device_bypasses),
-            limiter_clamps: self.limiter_clamps.saturating_sub(baseline.limiter_clamps),
-            armijo_backtracks: self
-                .armijo_backtracks
-                .saturating_sub(baseline.armijo_backtracks),
-            ptc_steps: self.ptc_steps.saturating_sub(baseline.ptc_steps),
+            symbolic_factorizations: path.symbolic_factorizations,
+            replay_refactorizations: path.replay_refactorizations,
+            partial_refactorizations: path.partial_refactorizations,
+            columns_recomputed: path.columns_recomputed,
+            columns_total: path.columns_total,
+            ..EngineCounters::default()
         }
+    }
+}
+
+impl AddAssign for EngineCounters {
+    fn add_assign(&mut self, rhs: EngineCounters) {
+        *self = self.zip_with(rhs, u64::saturating_add);
     }
 }
 
@@ -517,16 +515,9 @@ pub struct NewtonEngine {
     active: usize,
     residual: Vec<f64>,
     pattern_builds: usize,
-    factorizations: u64,
-    factor_ops_total: u64,
-    /// Engine-lifetime factorization-path stats, accumulated as deltas
-    /// from each cache's solver so they survive cache rebuilds.
-    path: FactorPathStats,
-    device_evals: u64,
-    device_bypasses: u64,
-    limiter_clamps: u64,
-    armijo_backtracks: u64,
-    ptc_steps: u64,
+    /// Engine-lifetime counters; factorization-path stats are added as
+    /// deltas from each cache's solver so they survive cache rebuilds.
+    counters: EngineCounters,
     /// Trace of the most recent [`NewtonEngine::newton`] solve, kept so
     /// [`NewtonEngine::last_report`] can resolve the worst unknown to a
     /// name lazily.
@@ -544,14 +535,7 @@ impl NewtonEngine {
             active: 0,
             residual: Vec::new(),
             pattern_builds: 0,
-            factorizations: 0,
-            factor_ops_total: 0,
-            path: FactorPathStats::default(),
-            device_evals: 0,
-            device_bypasses: 0,
-            limiter_clamps: 0,
-            armijo_backtracks: 0,
-            ptc_steps: 0,
+            counters: EngineCounters::default(),
             last_trace: None,
             cancel: None,
         }
@@ -569,9 +553,7 @@ impl NewtonEngine {
     /// Replaces the engine's options in place. A long-lived engine (e.g.
     /// inside a [`crate::sim::Simulator`] session) uses this to honour
     /// per-analysis Newton settings without discarding its caches: the
-    /// cached pattern and solver survive unless the new options change
-    /// the solver selection for the current circuit, in which case the
-    /// next solve transparently rebuilds them.
+    /// cached pattern and solver survive every option change.
     pub fn set_options(&mut self, opts: NewtonOptions) {
         self.opts = opts;
     }
@@ -664,51 +646,17 @@ impl NewtonEngine {
         self.pattern_builds
     }
 
-    /// Name of the linear solver cached for the most recently used
-    /// analysis kind, if any.
-    pub fn solver_name(&self) -> Option<&'static str> {
-        self.cache().map(|c| c.solver.name())
-    }
-
-    /// Operation count of the most recent factorisation (0 before any).
-    pub fn last_factor_ops(&self) -> u64 {
-        self.cache().map_or(0, |c| c.solver.factor_ops())
-    }
-
-    /// Total number of Jacobian factorisations performed over this
-    /// engine's lifetime (one per Newton iteration that reached the
-    /// linear solve).
-    pub fn total_factorizations(&self) -> u64 {
-        self.factorizations
-    }
-
-    /// Cumulative multiply–accumulate/divide operation count across all
-    /// factorisations of this engine's lifetime. Together with
-    /// [`NewtonEngine::total_factorizations`] this lets analyses report
-    /// linear-algebra cost (e.g. the `transient_scaling` bench's
-    /// fixed-vs-adaptive comparison) without instrumenting the solver.
-    pub fn total_factor_ops(&self) -> u64 {
-        self.factor_ops_total
-    }
-
     /// Snapshot of every engine-lifetime hot-path counter. Capture one
     /// before an analysis and diff with [`EngineCounters::delta_since`]
     /// after it for clean per-analysis numbers on a shared session.
     pub fn counters(&self) -> EngineCounters {
-        EngineCounters {
-            factorizations: self.factorizations,
-            factor_ops: self.factor_ops_total,
-            symbolic_factorizations: self.path.symbolic_factorizations,
-            replay_refactorizations: self.path.replay_refactorizations,
-            partial_refactorizations: self.path.partial_refactorizations,
-            columns_recomputed: self.path.columns_recomputed,
-            columns_total: self.path.columns_total,
-            device_evals: self.device_evals,
-            device_bypasses: self.device_bypasses,
-            limiter_clamps: self.limiter_clamps,
-            armijo_backtracks: self.armijo_backtracks,
-            ptc_steps: self.ptc_steps,
-        }
+        self.counters
+    }
+
+    /// Adds work done outside the Newton loop on this engine's behalf
+    /// (the AC sweep's complex factorizations) to its counters.
+    pub(crate) fn record(&mut self, work: EngineCounters) {
+        self.counters += work;
     }
 
     /// Post-mortem of the most recent [`NewtonEngine::newton`] solve
@@ -737,24 +685,11 @@ impl NewtonEngine {
     fn ensure_cache(&mut self, circuit: &Circuit, transient: bool) {
         let unknowns = circuit.unknown_count();
         let revision = circuit.revision();
-        let sparse = match self.opts.solver {
-            SolverKind::Dense => false,
-            SolverKind::Sparse => true,
-            SolverKind::Auto => unknowns >= self.opts.sparse_threshold,
-        };
         self.active = usize::from(transient);
         let fresh = !self.cache().is_some_and(|c| {
-            c.circuit_id == circuit.id()
-                && c.revision == revision
-                && c.unknowns == unknowns
-                && c.sparse == sparse
+            c.circuit_id == circuit.id() && c.revision == revision && c.unknowns == unknowns
         });
         if fresh {
-            let solver: Box<dyn LinearSolver> = if sparse {
-                Box::new(SparseLuSolver::new())
-            } else {
-                Box::new(DenseLuSolver::new())
-            };
             let mut asm = PatternAssembler::new(unknowns, unknowns);
             // Record the per-add slot sequence during the pattern build
             // so every later re-stamp replays direct slot writes.
@@ -763,9 +698,8 @@ impl NewtonEngine {
                 circuit_id: circuit.id(),
                 revision,
                 unknowns,
-                sparse,
                 asm,
-                solver,
+                solver: SparseLuSolver::new(),
                 bases: circuit.extra_var_bases(),
                 struct_ok: false,
                 states: circuit
@@ -813,8 +747,8 @@ impl NewtonEngine {
             let elements = circuit.elements().iter().zip(&cache.bases);
             for ((e, &base), state) in elements.zip(&mut cache.states) {
                 match e.stamp_cached(x, base, mode, &mut mna, state, vtol) {
-                    StampOutcome::Evaluated => self.device_evals += 1,
-                    StampOutcome::Bypassed => self.device_bypasses += 1,
+                    StampOutcome::Evaluated => self.counters.device_evals += 1,
+                    StampOutcome::Bypassed => self.counters.device_bypasses += 1,
                     StampOutcome::Static => {}
                 }
             }
@@ -981,7 +915,6 @@ impl NewtonEngine {
                 // Slots holding bitwise-equal values need no recompute,
                 // so the partial path is exact, not approximate.
                 let use_partial = self.opts.partial_refactor
-                    && cache.sparse
                     && cache.prev_valid
                     && cache.prev_values.len() == a.values().len();
                 let factored = if use_partial {
@@ -997,7 +930,7 @@ impl NewtonEngine {
                     cache.solver.factor(a)
                 };
                 let path = cache.solver.factor_stats();
-                self.path += path.delta_since(&cache.last_path);
+                self.counters += EngineCounters::from(path.delta_since(&cache.last_path));
                 cache.last_path = path;
                 match factored {
                     Ok(()) => {
@@ -1010,8 +943,8 @@ impl NewtonEngine {
                         return Err(CircuitError::SingularSystem(format!("{e}")));
                     }
                 }
-                self.factorizations += 1;
-                self.factor_ops_total += cache.solver.factor_ops();
+                self.counters.factorizations += 1;
+                self.counters.factor_ops += cache.solver.factor_ops();
                 cache
                     .solver
                     .solve_factored(&neg_f)
@@ -1037,7 +970,7 @@ impl NewtonEngine {
                     for d in dx.iter_mut() {
                         *d *= scale;
                     }
-                    self.limiter_clamps += 1;
+                    self.counters.limiter_clamps += 1;
                 }
             }
             // Rescue stages additionally cap the raw step size: the
@@ -1073,7 +1006,7 @@ impl NewtonEngine {
                     break;
                 }
                 alpha *= 0.5;
-                self.armijo_backtracks += 1;
+                self.counters.armijo_backtracks += 1;
             }
             if detect_cycles {
                 let h = bits_hash(x);
@@ -1322,7 +1255,7 @@ impl NewtonEngine {
             match exit {
                 LoopExit::Converged(it) => {
                     total += it;
-                    self.ptc_steps += 1;
+                    self.counters.ptc_steps += 1;
                     if g <= floor {
                         break;
                     }
@@ -1360,7 +1293,7 @@ impl NewtonEngine {
         match self.run_newton_loop(circuit, x, mode, gmin, None, true, true)? {
             LoopExit::Converged(it) => {
                 total += it;
-                self.ptc_steps += 1;
+                self.counters.ptc_steps += 1;
                 Ok(total)
             }
             _ => Err(CircuitError::NoConvergence {
@@ -1432,7 +1365,7 @@ impl NewtonEngine {
             match exit {
                 Ok(LoopExit::Converged(it)) => {
                     total += it;
-                    self.ptc_steps += 1;
+                    self.counters.ptc_steps += 1;
                     // The stage solved the *regularized* system; accept
                     // as soon as the true system meets the same per-row
                     // tolerances plain Newton stops at.
@@ -1630,50 +1563,19 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_agree_on_divider() {
+        // The engine's sparse solve of the divider equals the dense
+        // reference LU's solve of the same assembled Newton step.
+        use cntfet_numerics::sparse::DenseLuSolver;
         let (c, out) = divider();
-        let mut dense = NewtonEngine::new(NewtonOptions {
-            solver: SolverKind::Dense,
-            ..NewtonOptions::default()
-        });
-        let mut sparse = NewtonEngine::new(NewtonOptions {
-            solver: SolverKind::Sparse,
-            ..NewtonOptions::default()
-        });
-        let sd = dense.dc_operating_point(&c, None).unwrap();
-        let ss = sparse.dc_operating_point(&c, None).unwrap();
-        assert!((sd.voltage(out) - 1.5).abs() < 1e-9);
-        assert!((sd.voltage(out) - ss.voltage(out)).abs() < 1e-12);
-        assert_eq!(dense.solver_name(), Some("dense-lu"));
-        assert_eq!(sparse.solver_name(), Some("sparse-lu"));
-    }
-
-    #[test]
-    fn auto_picks_dense_below_threshold() {
-        let (c, _) = divider();
-        let mut engine = NewtonEngine::new(NewtonOptions::default());
-        engine.dc_operating_point(&c, None).unwrap();
-        assert_eq!(engine.solver_name(), Some("dense-lu"));
-    }
-
-    #[test]
-    fn auto_picks_sparse_above_threshold() {
-        // A long resistor ladder crosses the default threshold.
-        let mut c = Circuit::new();
-        let top = c.node("top");
-        c.add(VoltageSource::dc("V1", top, Circuit::ground(), 1.0));
-        let mut prev = top;
-        for i in 0..40 {
-            let nxt = c.node(&format!("n{i}"));
-            c.add(Resistor::new(&format!("R{i}"), prev, nxt, 1e3));
-            prev = nxt;
-        }
-        c.add(Resistor::new("Rend", prev, Circuit::ground(), 1e3));
         let mut engine = NewtonEngine::new(NewtonOptions::default());
         let sol = engine.dc_operating_point(&c, None).unwrap();
-        assert_eq!(engine.solver_name(), Some("sparse-lu"));
-        // Ladder splits 1 V over 41 equal resistors; n19 sits after 20.
-        let mid = c.find_node("n19").unwrap();
-        assert!((sol.voltage(mid) - 21.0 / 41.0).abs() < 1e-9);
+        assert!((sol.voltage(out) - 1.5).abs() < 1e-9);
+        let x0 = vec![0.0; c.unknown_count()];
+        let (f, j) = engine.assemble(&c, &x0, &AnalysisMode::Dc, 0.0);
+        let neg_f: Vec<f64> = f.iter().map(|v| -v).collect();
+        let dx = DenseLuSolver::new().solve(j, &neg_f).unwrap();
+        // The divider is linear: one Newton step from 0 is the answer.
+        assert!((dx[1] - sol.voltage(out)).abs() < 1e-12);
     }
 
     #[test]
@@ -1861,7 +1763,7 @@ mod tests {
             }
             other => panic!("expected StructurallySingular, got {other:?}"),
         }
-        assert_eq!(engine.total_factorizations(), 0, "failed before any LU");
+        assert_eq!(engine.counters().factorizations, 0, "failed before any LU");
     }
 
     #[test]
@@ -2003,15 +1905,31 @@ mod tests {
     }
 
     #[test]
-    fn dense_path_never_partially_refactors() {
+    fn small_systems_refactor_partially_too() {
         let (mut c, _) = divider();
         let mut engine = NewtonEngine::new(NewtonOptions::default());
         engine.dc_operating_point(&c, None).unwrap();
         assert!(c.set_source_value("V1", 3.0));
         engine.dc_operating_point(&c, None).unwrap();
         let total = engine.counters();
-        assert_eq!(engine.solver_name(), Some("dense-lu"));
-        assert_eq!(total.partial_refactorizations, 0);
-        assert!(total.factorizations > 0);
+        assert_eq!(total.symbolic_factorizations, 1);
+        assert!(total.partial_refactorizations > 0);
+    }
+
+    #[test]
+    fn counters_list_every_field_by_name() {
+        let c = EngineCounters {
+            factorizations: 3,
+            ptc_steps: 1,
+            ..EngineCounters::default()
+        };
+        let named: Vec<(&str, u64)> = c.named().collect();
+        assert_eq!(named.len(), 12);
+        assert_eq!(named[0], ("factorizations", 3));
+        assert_eq!(named[11], ("ptc_steps", 1));
+        assert!(c.summary().starts_with("factorizations 3, factor_ops 0, "));
+        let mut sum = c;
+        sum += c;
+        assert_eq!(sum.delta_since(&c), c);
     }
 }

@@ -12,15 +12,14 @@
 //!   equivalent circuit (inner charge node Σ + ballistic current source),
 //!   with n- and mirror-symmetric p-type polarity;
 //! * [`engine`] — the unified damped-Newton core ([`engine::NewtonEngine`])
-//!   with pattern-cached sparse assembly and dense/sparse solver
-//!   selection, shared by every analysis;
+//!   with pattern-cached assembly and a fill-reusing sparse LU, shared
+//!   by every analysis;
 //! * [`sim`] — **the public analysis API**: a [`sim::Simulator`] session
 //!   owns the circuit, the engine and every cache, and exposes all
 //!   analyses as typed methods (`op`, `dc_sweep`, `transient`, `ac`)
 //!   returning result types with probe-by-node-name accessors;
-//! * [`dc`] / [`sweep`] / [`transient`] — the analysis cores plus the
-//!   historical free-function entry points (deprecated wrappers over a
-//!   throwaway session);
+//! * [`dc`] / [`sweep`] / [`transient`] — the analysis cores behind the
+//!   session methods and their result types;
 //! * [`ac`] — AC small-signal analysis: linearisation at the operating
 //!   point into `G + jωC` and complex sparse solves over one frozen
 //!   pattern per sweep;
@@ -78,16 +77,14 @@ pub use error::CircuitError;
 /// Convenient glob import for building and solving circuits.
 ///
 /// Exposes the session API ([`sim::Simulator`] and its request/result
-/// types) alongside the element builders; the deprecated free-function
-/// entry points are *not* re-exported here — import them from their
-/// modules while migrating.
+/// types) alongside the element builders.
 pub mod prelude {
     pub use crate::ac::{AcResponse, AcStats, AcSweep, FreqGrid};
     pub use crate::cnfet::{CnfetElement, Polarity};
     pub use crate::dc::Solution;
     pub use crate::deck::{AnalysisReport, Deck, DeckError, DeckRun};
     pub use crate::element::{Capacitor, CurrentSource, Resistor, VoltageSource, Waveform};
-    pub use crate::engine::{EngineCounters, NewtonEngine, NewtonOptions, SolverKind};
+    pub use crate::engine::{EngineCounters, NewtonEngine, NewtonOptions};
     pub use crate::error::CircuitError;
     pub use crate::logic::{
         add_inverter, add_inverter_array, add_inverter_chain, add_nand2, add_ring_oscillator,

@@ -4,24 +4,16 @@
 //!
 //! # Why a session?
 //!
-//! Historically each analysis entry point (`solve_dc`, `dc_sweep`,
-//! `solve_transient_*`) privately created its own [`NewtonEngine`], so
-//! the expensive state the engine accumulates — the recorded MNA
-//! sparsity pattern, the sparse LU's frozen pivot order and fill
-//! pattern, a converged operating point to warm-start from — was thrown
-//! away between analyses of the *same* circuit. A [`Simulator`] keeps
-//! that state alive across calls:
+//! The engine accumulates expensive state — the recorded MNA sparsity
+//! pattern, the sparse LU's frozen pivot order and fill pattern, a
+//! converged operating point to warm-start from. A [`Simulator`] keeps
+//! that state alive across every analysis of the *same* circuit:
 //!
 //! * [`Simulator::op`] warm-starts from the last converged solution;
 //! * [`Simulator::dc_sweep`] and [`Simulator::transient`] reuse the
 //!   session engine's pattern and solver ordering;
 //! * [`Simulator::ac`] linearises at the session's operating point and
-//!   was the first analysis *designed* for the session — it only exists
-//!   through this API.
-//!
-//! The legacy free functions still work as thin deprecated wrappers that
-//! each build a throwaway session, so existing code keeps its exact
-//! results while new code migrates.
+//!   only exists through this API.
 //!
 //! # Example
 //!
@@ -203,8 +195,7 @@ impl NodeWaves {
     }
 }
 
-/// A converged DC operating point with probe-by-name accessors — the
-/// session-API counterpart of the legacy [`Solution`].
+/// A converged DC operating point with probe-by-name accessors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpPoint {
     x: Vec<f64>,
@@ -251,8 +242,7 @@ impl OpPoint {
         &self.probe
     }
 
-    /// Converts into the legacy [`Solution`] type (e.g. to seed a
-    /// legacy entry point).
+    /// Converts into the engine-level [`Solution`] type.
     pub fn into_solution(self) -> Solution {
         Solution {
             x: self.x,
@@ -379,7 +369,7 @@ impl Simulator {
     }
 
     /// Creates a session with explicit Newton options (tolerances,
-    /// damping, dense/sparse solver selection) used by the DC-kind
+    /// damping, convergence-ladder rungs) used by the DC-kind
     /// analyses; transient runs use the options embedded in their
     /// [`TransientSpec`].
     pub fn with_options(circuit: Circuit, options: NewtonOptions) -> Self {
@@ -614,21 +604,10 @@ impl Simulator {
         self.engine.pattern_builds()
     }
 
-    /// Total Jacobian factorisations over the session's lifetime.
-    pub fn total_factorizations(&self) -> u64 {
-        self.engine.total_factorizations()
-    }
-
-    /// Cumulative factorisation operation count over the session's
-    /// lifetime.
-    pub fn total_factor_ops(&self) -> u64 {
-        self.engine.total_factor_ops()
-    }
-
     /// Snapshot of every session-lifetime hot-path counter
     /// (factorisation paths, columns recomputed, device evaluations vs
-    /// bypasses). Per-analysis numbers come from capturing a baseline
-    /// before an analysis and calling
+    /// bypasses, ladder rungs). Per-analysis numbers come from
+    /// capturing a baseline before an analysis and calling
     /// [`EngineCounters::delta_since`] after it — the discipline
     /// [`TransientStats`](crate::transient::TransientStats) follows
     /// internally.
@@ -636,11 +615,6 @@ impl Simulator {
     /// [`EngineCounters::delta_since`]: crate::engine::EngineCounters::delta_since
     pub fn counters(&self) -> crate::engine::EngineCounters {
         self.engine.counters()
-    }
-
-    /// Name of the linear solver currently cached by the engine.
-    pub fn solver_name(&self) -> Option<&'static str> {
-        self.engine.solver_name()
     }
 
     /// A warm-start guess: the last converged solution, if its length
@@ -655,8 +629,7 @@ impl Simulator {
 
 /// Runs a batch of independent warm-started sweeps, each in its own
 /// [`Simulator`] session, in parallel when the `parallel` feature is
-/// enabled (the default). This is the session-API successor of the
-/// legacy `dc_sweep_many`: `build` constructs a fresh circuit per spec
+/// enabled (the default). `build` constructs a fresh circuit per spec
 /// (jobs may differ in topology or parameters), every worker owns its
 /// session outright, and results come back in `specs` order.
 ///

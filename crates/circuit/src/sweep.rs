@@ -3,17 +3,15 @@
 //! The sweep loop itself (`sweep_core`) runs on a caller-provided
 //! [`NewtonEngine`], so a [`crate::sim::Simulator`] session shares one
 //! engine — one recorded sparsity pattern, one solver ordering, one
-//! warm-start chain — across every analysis of a circuit. The free
-//! functions of this module ([`dc_sweep`], [`dc_sweep_many`], …) are
-//! the legacy entry points, kept as deprecated wrappers that build a
-//! throwaway engine per call; new code should use
-//! [`crate::sim::Simulator::dc_sweep`] and [`crate::sim::sweep_many`].
+//! warm-start chain — across every analysis of a circuit. Run sweeps
+//! through [`crate::sim::Simulator::dc_sweep`] and
+//! [`crate::sim::sweep_many`].
 
 use crate::dc::Solution;
-use crate::engine::{NewtonEngine, NewtonOptions};
+use crate::engine::NewtonEngine;
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, NodeId};
-use crate::sim::{NodeWaves, SweepSpec};
+use crate::sim::NodeWaves;
 
 /// Result of a DC sweep: swept values, per-point solutions, and a
 /// node-major waveform cache with probe-by-name accessors shared with
@@ -105,105 +103,12 @@ pub(crate) fn sweep_core(
     Ok(SweepResult::new(values.to_vec(), solutions, circuit))
 }
 
-/// Sweeps the named source through `values`, warm-starting each point
-/// from the previous solution.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::UnknownSource`] when no source has the given
-/// name, and propagates solver failures.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `sim::Simulator` session and call `dc_sweep(&SweepSpec)` \
-            so solver caches are shared across analyses"
-)]
-pub fn dc_sweep(
-    circuit: &mut Circuit,
-    source: &str,
-    values: &[f64],
-) -> Result<SweepResult, CircuitError> {
-    sweep_core(
-        &mut NewtonEngine::new(NewtonOptions::default()),
-        circuit,
-        source,
-        values,
-        None,
-    )
-}
-
-/// [`dc_sweep`] with explicit [`NewtonOptions`].
-///
-/// # Errors
-///
-/// Same as [`dc_sweep`].
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `sim::Simulator` session with `Simulator::with_options` and \
-            call `dc_sweep(&SweepSpec)`"
-)]
-pub fn dc_sweep_with(
-    circuit: &mut Circuit,
-    source: &str,
-    values: &[f64],
-    options: &NewtonOptions,
-) -> Result<SweepResult, CircuitError> {
-    sweep_core(
-        &mut NewtonEngine::new(*options),
-        circuit,
-        source,
-        values,
-        None,
-    )
-}
-
-/// Legacy name of [`crate::sim::SweepSpec`].
-#[deprecated(since = "0.1.0", note = "use `sim::SweepSpec`")]
-pub type SweepJob = SweepSpec;
-
-/// Runs a batch of independent warm-started sweeps, in parallel when
-/// the `parallel` feature is enabled (the default).
-///
-/// # Errors
-///
-/// Propagates the first failing job's [`CircuitError`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `sim::sweep_many`, which runs each job in its own `Simulator` session"
-)]
-pub fn dc_sweep_many<F>(build: F, jobs: &[SweepSpec]) -> Result<Vec<SweepResult>, CircuitError>
-where
-    F: Fn(usize, &SweepSpec) -> Circuit + Sync,
-{
-    crate::sim::sweep_many(build, jobs, &NewtonOptions::default())
-}
-
-/// [`dc_sweep_many`] with explicit [`NewtonOptions`] shared by every
-/// job.
-///
-/// # Errors
-///
-/// Propagates the first failing job's [`CircuitError`].
-#[deprecated(since = "0.1.0", note = "use `sim::sweep_many`")]
-pub fn dc_sweep_many_with<F>(
-    build: F,
-    jobs: &[SweepSpec],
-    options: &NewtonOptions,
-) -> Result<Vec<SweepResult>, CircuitError>
-where
-    F: Fn(usize, &SweepSpec) -> Circuit + Sync,
-{
-    crate::sim::sweep_many(build, jobs, options)
-}
-
 #[cfg(test)]
 mod tests {
-    // These tests deliberately exercise the deprecated wrappers: the
-    // acceptance contract is that legacy entry points keep their exact
-    // behaviour while delegating to the session machinery.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::element::{Resistor, VoltageSource};
+    use crate::engine::NewtonOptions;
+    use crate::sim::{sweep_many, Simulator, SweepSpec};
 
     #[test]
     fn sweep_tracks_divider_linearly() {
@@ -214,7 +119,9 @@ mod tests {
         c.add(Resistor::new("R1", vin, out, 1e3));
         c.add(Resistor::new("R2", out, Circuit::ground(), 1e3));
         let vals = [0.0, 0.5, 1.0, 1.5];
-        let res = dc_sweep(&mut c, "V1", &vals).unwrap();
+        let res = Simulator::new(c)
+            .dc_sweep(&SweepSpec::new("V1", vals.to_vec()))
+            .unwrap();
         let outs = res.voltages(out);
         for (v, o) in vals.iter().zip(&outs) {
             assert!((o - v / 2.0).abs() < 1e-9, "{v} -> {o}");
@@ -237,17 +144,16 @@ mod tests {
             c.add(Resistor::new("R2", out, Circuit::ground(), 1e3));
             c
         };
-        let jobs: Vec<SweepJob> = (0..6)
+        let jobs: Vec<SweepSpec> = (0..6)
             .map(|k| {
                 let vals = (0..5).map(|i| 0.25 * i as f64 + k as f64).collect();
-                SweepJob::new("V1", vals)
+                SweepSpec::new("V1", vals)
             })
             .collect();
-        let batch = dc_sweep_many(|_, _| build(), &jobs).unwrap();
+        let batch = sweep_many(|_, _| build(), &jobs, &NewtonOptions::default()).unwrap();
         assert_eq!(batch.len(), jobs.len());
         for (job, got) in jobs.iter().zip(&batch) {
-            let mut c = build();
-            let alone = dc_sweep(&mut c, &job.source, &job.values).unwrap();
+            let alone = Simulator::new(build()).dc_sweep(job).unwrap();
             assert_eq!(got, &alone, "batched sweep must equal the lone sweep");
         }
     }
@@ -257,7 +163,7 @@ mod tests {
         // Per-job circuits: job k's divider halves the source through a
         // lower resistor of k-dependent value.
         let lowers = [1e3, 3e3];
-        let build = |k: usize, job: &SweepJob| {
+        let build = |k: usize, job: &SweepSpec| {
             assert_eq!(job.source, "V1");
             let mut c = Circuit::new();
             let vin = c.node("in");
@@ -267,8 +173,8 @@ mod tests {
             c.add(Resistor::new("R2", out, Circuit::ground(), lowers[k]));
             c
         };
-        let jobs = vec![SweepJob::new("V1", vec![2.0]); lowers.len()];
-        let batch = dc_sweep_many(build, &jobs).unwrap();
+        let jobs = vec![SweepSpec::new("V1", vec![2.0]); lowers.len()];
+        let batch = sweep_many(build, &jobs, &NewtonOptions::default()).unwrap();
         // Node "out" is unknown index 1 in both circuits; check the
         // divider ratio reflects each job's own lower resistor.
         let expect = [2.0 * 1e3 / 2e3, 2.0 * 3e3 / 4e3];
@@ -286,9 +192,9 @@ mod tests {
             c.add(Resistor::new("R1", a, Circuit::ground(), 1e3));
             c
         };
-        let jobs = [SweepJob::new("VX", vec![0.0])];
+        let jobs = [SweepSpec::new("VX", vec![0.0])];
         assert!(matches!(
-            dc_sweep_many(|_, _| build(), &jobs),
+            sweep_many(|_, _| build(), &jobs, &NewtonOptions::default()),
             Err(CircuitError::UnknownSource { .. })
         ));
     }
@@ -299,7 +205,9 @@ mod tests {
         let a = c.node("a");
         c.add(VoltageSource::dc("V1", a, Circuit::ground(), 1.0));
         c.add(Resistor::new("R1", a, Circuit::ground(), 1e3));
-        let err = dc_sweep(&mut c, "VX", &[0.0]).unwrap_err();
+        let err = Simulator::new(c)
+            .dc_sweep(&SweepSpec::new("VX", vec![0.0]))
+            .unwrap_err();
         match &err {
             CircuitError::UnknownSource {
                 requested,

@@ -5,17 +5,11 @@
 //! with every other analysis — run transients through
 //! [`crate::sim::Simulator::transient`] with a
 //! [`crate::sim::TransientSpec`] (`dt: Some(..)` for a fixed grid,
-//! `None` for adaptive stepping). Two legacy entry-point families
-//! remain as deprecated wrappers that build a throwaway engine:
-//!
-//! * [`solve_transient`] / [`solve_transient_with`] — the historical
-//!   fixed-step interface (backward Euler on a uniform grid), thin
-//!   wrappers around [`solve_transient_fixed`];
-//! * [`solve_transient_adaptive`] — local-truncation-error-controlled
-//!   stepping with a [`TimeIntegrator`] (backward Euler or variable-step
-//!   BDF2), a PI step-size controller and reject-and-retry on LTE or
-//!   Newton failure. It returns a [`TransientRun`] carrying both the
-//!   waveform and per-run [`TransientStats`].
+//! `None` for adaptive stepping). Adaptive runs control the local
+//! truncation error with a [`TimeIntegrator`] (backward Euler or
+//! variable-step BDF2), a PI step-size controller and reject-and-retry
+//! on LTE or Newton failure. Every run returns a [`TransientRun`]
+//! carrying both the waveform and per-run [`TransientStats`].
 //!
 //! Backward Euler is L-stable, which matters here because the CNFET's Σ
 //! row is an algebraic constraint (index-1 DAE) — trapezoidal rules ring
@@ -31,9 +25,8 @@
 //! re-values the cached Jacobian pattern instead of rebuilding it, and
 //! the sparse solver replays its frozen elimination ordering.
 
-use crate::dc::Solution;
 use crate::element::{AnalysisMode, TransientStamp};
-use crate::engine::{NewtonEngine, NewtonOptions};
+use crate::engine::{EngineCounters, NewtonEngine, NewtonOptions};
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, NodeId};
 use crate::sim::NodeWaves;
@@ -150,9 +143,8 @@ pub struct TransientOptions {
     /// Newton-iteration options forwarded to the [`NewtonEngine`].
     /// Default: [`NewtonOptions::transient`].
     pub newton: NewtonOptions,
-    /// Integration method for adaptive runs (fixed-step entry points
-    /// always use backward Euler unless called through
-    /// [`solve_transient_fixed`] with BDF2). Default:
+    /// Integration method. Fixed-grid BDF2 starts with one
+    /// backward-Euler step to build history. Default:
     /// [`TimeIntegrator::Bdf2`].
     pub integrator: TimeIntegrator,
     /// First step size of an adaptive run, seconds. `None` derives
@@ -237,7 +229,8 @@ impl TransientOptions {
     }
 }
 
-/// Per-run stepping statistics of a transient analysis.
+/// Per-run stepping statistics of a transient analysis, with the
+/// engine's counters over the run embedded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransientStats {
     /// Accepted time steps (equals `result.len() - 1`).
@@ -250,36 +243,6 @@ pub struct TransientStats {
     /// Total Newton iterations across all attempted steps (including
     /// the extra solves of backward-Euler step doubling).
     pub newton_iterations: usize,
-    /// Jacobian factorisations performed by the engine.
-    pub factorizations: u64,
-    /// Cumulative multiply–accumulate/divide operations across those
-    /// factorisations.
-    pub factor_ops: u64,
-    /// Full pivot-searching factorisations among `factorizations` (the
-    /// rest replayed a frozen plan, fully or partially).
-    pub symbolic_factorizations: u64,
-    /// Factorisations that replayed only the columns reached from
-    /// changed matrix values ([`NewtonOptions::partial_refactor`]).
-    ///
-    /// [`NewtonOptions::partial_refactor`]: crate::engine::NewtonOptions
-    pub partial_refactorizations: u64,
-    /// Columns actually recomputed across all factorisations.
-    pub columns_recomputed: u64,
-    /// Columns a full-replay run would have recomputed.
-    pub columns_total: u64,
-    /// Nonlinear device model evaluations that ran in full.
-    pub device_evals: u64,
-    /// Device evaluations skipped by the bypass layer
-    /// ([`NewtonOptions::bypass`]).
-    ///
-    /// [`NewtonOptions::bypass`]: crate::engine::NewtonOptions
-    pub device_bypasses: u64,
-    /// Newton steps scaled down by per-device voltage limiting.
-    pub limiter_clamps: u64,
-    /// Armijo line-search backtracks (step halvings actually taken).
-    pub armijo_backtracks: u64,
-    /// Pseudo-transient continuation stages that converged.
-    pub ptc_steps: u64,
     /// Backward-Euler sub-steps taken by the fixed-grid rescue: grid
     /// intervals whose one-shot step system had no reachable solution
     /// were split internally (the output grid is unchanged).
@@ -287,24 +250,10 @@ pub struct TransientStats {
     /// Times the BDF2 history was discarded and the method restarted
     /// from backward Euler (after a Newton failure).
     pub bdf2_restarts: usize,
-}
-
-impl TransientStats {
-    /// Copies the engine's per-analysis counter delta into the solver
-    /// cost fields (step counters are untouched).
-    pub(crate) fn absorb_counters(&mut self, delta: crate::engine::EngineCounters) {
-        self.factorizations = delta.factorizations;
-        self.factor_ops = delta.factor_ops;
-        self.symbolic_factorizations = delta.symbolic_factorizations;
-        self.partial_refactorizations = delta.partial_refactorizations;
-        self.columns_recomputed = delta.columns_recomputed;
-        self.columns_total = delta.columns_total;
-        self.device_evals = delta.device_evals;
-        self.device_bypasses = delta.device_bypasses;
-        self.limiter_clamps = delta.limiter_clamps;
-        self.armijo_backtracks = delta.armijo_backtracks;
-        self.ptc_steps = delta.ptc_steps;
-    }
+    /// Engine counters (factorizations, device evaluations, ladder
+    /// rungs) of the stepping, from after the initial operating point
+    /// to the end of the run.
+    pub counters: EngineCounters,
 }
 
 /// A transient waveform together with the stepping statistics that
@@ -354,101 +303,6 @@ impl TransientRun {
     }
 }
 
-/// Runs a backward-Euler transient of duration `t_stop` with fixed step
-/// `dt`, starting from `initial` (or the DC operating point at `t = 0`).
-///
-/// When `t_stop` is not an integer multiple of `dt` the final step is
-/// shortened so the last time point lands exactly on `t_stop`; a `dt`
-/// larger than `t_stop` degenerates to a single step of size `t_stop`.
-///
-/// # Errors
-///
-/// Returns [`CircuitError::InvalidAnalysis`] for non-positive `dt` or
-/// `t_stop`, and propagates solver failures at any step.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `sim::Simulator` session and call \
-            `transient(&TransientSpec::fixed(t_stop, dt))`"
-)]
-pub fn solve_transient(
-    circuit: &Circuit,
-    t_stop: f64,
-    dt: f64,
-    initial: Option<&[f64]>,
-) -> Result<TransientResult, CircuitError> {
-    // Calls the core directly (not the sibling deprecated wrapper):
-    // nothing inside the crate depends on a deprecated entry point.
-    let opts = TransientOptions {
-        newton: NewtonOptions::transient(),
-        integrator: TimeIntegrator::BackwardEuler,
-        ..TransientOptions::default()
-    };
-    let mut engine = NewtonEngine::new(opts.newton);
-    transient_fixed_core(&mut engine, circuit, t_stop, dt, initial, &opts, None)
-        .map(|run| run.result)
-}
-
-/// [`solve_transient`] with explicit [`NewtonOptions`].
-///
-/// # Errors
-///
-/// Same as [`solve_transient`].
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `sim::Simulator` session and call \
-            `transient(&TransientSpec::fixed(t_stop, dt))` with the Newton \
-            options embedded in the spec's `TransientOptions`"
-)]
-pub fn solve_transient_with(
-    circuit: &Circuit,
-    t_stop: f64,
-    dt: f64,
-    initial: Option<&[f64]>,
-    options: &NewtonOptions,
-) -> Result<TransientResult, CircuitError> {
-    let opts = TransientOptions {
-        newton: *options,
-        integrator: TimeIntegrator::BackwardEuler,
-        ..TransientOptions::default()
-    };
-    let mut engine = NewtonEngine::new(opts.newton);
-    transient_fixed_core(&mut engine, circuit, t_stop, dt, initial, &opts, None)
-        .map(|run| run.result)
-}
-
-/// Fixed-step transient with full [`TransientStats`] and a choice of
-/// integrator (`options.integrator`; BDF2 starts with one backward-Euler
-/// step to build history).
-///
-/// # Errors
-///
-/// Returns [`CircuitError::InvalidAnalysis`] for non-positive `dt` or
-/// `t_stop` or an invalid initial-state length, and propagates solver
-/// failures at any step.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `sim::Simulator` session and call \
-            `transient(&TransientSpec::fixed(t_stop, dt).with_options(options))`"
-)]
-pub fn solve_transient_fixed(
-    circuit: &Circuit,
-    t_stop: f64,
-    dt: f64,
-    initial: Option<&[f64]>,
-    options: &TransientOptions,
-) -> Result<TransientRun, CircuitError> {
-    let mut engine = NewtonEngine::new(options.newton);
-    transient_fixed_core(&mut engine, circuit, t_stop, dt, initial, options, None)
-}
-
-/// The engine-sharing fixed-grid stepping core behind
-/// [`solve_transient_fixed`] and
-/// [`crate::sim::Simulator::transient`]. No LTE control is performed —
-/// every Newton-converged step is accepted, and a Newton failure aborts
-/// the run. The final step is shortened to land exactly on `t_stop`.
-/// `observer`, when present, sees every accepted `(t, x)` point in
-/// order (including the initial state) before the run completes; the
-/// engine's cancellation flag is additionally polled once per step.
 /// Maximum halvings of one fixed-grid interval before the rescue gives
 /// up: `2^6 = 64` sub-steps, matching the dt reduction an adaptive run
 /// would try before declaring [`CircuitError::TimestepTooSmall`].
@@ -503,6 +357,14 @@ fn fixed_substep(
     }
 }
 
+/// The engine-sharing fixed-grid stepping core behind
+/// [`crate::sim::Simulator::transient`]. No LTE control is performed —
+/// every Newton-converged step is accepted; a Newton failure first
+/// splits the interval (see [`fixed_substep`]) and then aborts the
+/// run. The final step is shortened to land exactly on `t_stop`.
+/// `observer`, when present, sees every accepted `(t, x)` point in
+/// order (including the initial state) before the run completes; the
+/// engine's cancellation flag is additionally polled once per step.
 pub(crate) fn transient_fixed_core(
     engine: &mut NewtonEngine,
     circuit: &Circuit,
@@ -617,7 +479,7 @@ pub(crate) fn transient_fixed_core(
             obs(t, &x);
         }
     }
-    stats.absorb_counters(engine.counters().delta_since(&base_counters));
+    stats.counters = engine.counters().delta_since(&base_counters);
     Ok(TransientRun::new(
         TransientResult { time, states },
         stats,
@@ -625,8 +487,10 @@ pub(crate) fn transient_fixed_core(
     ))
 }
 
-/// Adaptive transient: LTE-controlled variable stepping from `t = 0` to
-/// `t_stop`, starting from `initial` (or the DC operating point).
+/// The engine-sharing adaptive stepping core behind
+/// [`crate::sim::Simulator::transient`]: LTE-controlled variable
+/// stepping from `t = 0` to `t_stop`, starting from `initial` (or the
+/// DC operating point).
 ///
 /// Each attempted step produces a local-truncation-error estimate —
 /// step doubling for backward Euler, the predictor–corrector difference
@@ -638,36 +502,11 @@ pub(crate) fn transient_fixed_core(
 /// BDF2 from backward Euler. When a step at `dt_min` still fails, the
 /// run aborts with [`CircuitError::TimestepTooSmall`].
 ///
-/// # Errors
-///
-/// [`CircuitError::InvalidAnalysis`] for inconsistent options (bad
-/// tolerances or step bounds, non-positive `t_stop`, wrong
-/// initial-state length), [`CircuitError::TimestepTooSmall`] when the
-/// controller collapses onto `dt_min`, and any solver error of the
-/// initial DC operating point.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `sim::Simulator` session and call \
-            `transient(&TransientSpec::adaptive(t_stop).with_options(options))`"
-)]
-pub fn solve_transient_adaptive(
-    circuit: &Circuit,
-    t_stop: f64,
-    initial: Option<&[f64]>,
-    options: &TransientOptions,
-) -> Result<TransientRun, CircuitError> {
-    let mut engine = NewtonEngine::new(options.newton);
-    transient_adaptive_core(&mut engine, circuit, t_stop, initial, options, None)
-}
-
-/// The engine-sharing adaptive stepping core behind
-/// [`solve_transient_adaptive`] and
-/// [`crate::sim::Simulator::transient`]. `observer`, when present, sees
-/// every **accepted** `(t, x)` point in order (including the initial
-/// state); rejected attempts are invisible to it. The engine's
-/// cancellation flag is polled once per step attempt on top of the
-/// per-Newton-iteration polls, so cancellation lands within one
-/// accepted step.
+/// `observer`, when present, sees every **accepted** `(t, x)` point in
+/// order (including the initial state); rejected attempts are invisible
+/// to it. The engine's cancellation flag is polled once per step
+/// attempt on top of the per-Newton-iteration polls, so cancellation
+/// lands within one accepted step.
 pub(crate) fn transient_adaptive_core(
     engine: &mut NewtonEngine,
     circuit: &Circuit,
@@ -807,7 +646,7 @@ pub(crate) fn transient_adaptive_core(
             });
         }
     }
-    stats.absorb_counters(engine.counters().delta_since(&base_counters));
+    stats.counters = engine.counters().delta_since(&base_counters);
     Ok(TransientRun::new(
         TransientResult { time, states },
         stats,
@@ -942,25 +781,32 @@ fn bdf2_step(
     Ok((x_new, lte))
 }
 
-/// Convenience: DC operating point with default options.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a `sim::Simulator` session and call `op()`"
-)]
-pub fn operating_point(circuit: &Circuit) -> Result<Solution, CircuitError> {
-    NewtonEngine::new(NewtonOptions::default()).dc_operating_point(circuit, None)
-}
-
 #[cfg(test)]
 mod tests {
-    // These tests exercise the deprecated wrappers on purpose: legacy
-    // entry points must keep their exact behaviour on top of the
-    // session cores.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::element::{Capacitor, Resistor, VoltageSource, Waveform};
     use crate::netlist::Circuit;
+    use crate::sim::{Simulator, TransientSpec};
+
+    /// A fixed-grid backward-Euler run on a fresh session.
+    fn fixed_be(ckt: Circuit, t_stop: f64, dt: f64) -> Result<TransientResult, CircuitError> {
+        let opts = TransientOptions {
+            integrator: TimeIntegrator::BackwardEuler,
+            ..TransientOptions::default()
+        };
+        Simulator::new(ckt)
+            .transient(&TransientSpec::fixed(t_stop, dt).with_options(opts))
+            .map(|run| run.result)
+    }
+
+    /// An adaptive run on a fresh session.
+    fn adaptive(
+        ckt: Circuit,
+        t_stop: f64,
+        opts: &TransientOptions,
+    ) -> Result<TransientRun, CircuitError> {
+        Simulator::new(ckt).transient(&TransientSpec::adaptive(t_stop).with_options(*opts))
+    }
 
     /// RC low-pass driven by a step: analytic exponential response.
     fn rc_circuit(r: f64, c: f64) -> (Circuit, NodeId) {
@@ -991,7 +837,7 @@ mod tests {
         let (r, c) = (1e3, 1e-9); // tau = 1 µs
         let tau = r * c;
         let (ckt, out) = rc_circuit(r, c);
-        let res = solve_transient(&ckt, 5.0 * tau, tau / 500.0, None).unwrap();
+        let res = fixed_be(ckt, 5.0 * tau, tau / 500.0).unwrap();
         let w = res.waveform(out);
         for (t, v) in res.time.iter().zip(&w) {
             let expect = 1.0 - (-t / tau).exp();
@@ -1007,22 +853,23 @@ mod tests {
     #[test]
     fn rc_final_value_is_supply() {
         let (ckt, out) = rc_circuit(10e3, 1e-12);
-        let res = solve_transient(&ckt, 1e-6, 1e-9, None).unwrap();
+        let res = fixed_be(ckt, 1e-6, 1e-9).unwrap();
         assert!((res.waveform(out).last().unwrap() - 1.0).abs() < 1e-3);
     }
 
     #[test]
     fn invalid_steps_are_rejected() {
-        let (ckt, _) = rc_circuit(1e3, 1e-9);
-        assert!(solve_transient(&ckt, -1.0, 1e-9, None).is_err());
-        assert!(solve_transient(&ckt, 1e-6, 0.0, None).is_err());
-        assert!(solve_transient(&ckt, 1e-6, 1e-9, Some(&[0.0])).is_err());
+        let rc = || rc_circuit(1e3, 1e-9).0;
+        assert!(fixed_be(rc(), -1.0, 1e-9).is_err());
+        assert!(fixed_be(rc(), 1e-6, 0.0).is_err());
+        let bad_initial = TransientSpec::fixed(1e-6, 1e-9).with_initial(vec![0.0]);
+        assert!(Simulator::new(rc()).transient(&bad_initial).is_err());
     }
 
     #[test]
     fn waveform_of_ground_is_zero() {
         let (ckt, _) = rc_circuit(1e3, 1e-9);
-        let res = solve_transient(&ckt, 1e-8, 1e-9, None).unwrap();
+        let res = fixed_be(ckt, 1e-8, 1e-9).unwrap();
         assert!(res.waveform(Circuit::ground()).iter().all(|&v| v == 0.0));
         assert_eq!(res.len(), res.time.len());
         assert!(!res.is_empty());
@@ -1045,7 +892,7 @@ mod tests {
         ));
         ckt.add(Resistor::new("R1", vin, out, 1e3));
         ckt.add(Capacitor::new("C1", out, Circuit::ground(), 1e-12));
-        let res = solve_transient(&ckt, 1e-3, 1e-6, None).unwrap();
+        let res = fixed_be(ckt, 1e-3, 1e-6).unwrap();
         let w = res.waveform(out);
         let peak = w.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         assert!((peak - 1.0).abs() < 0.01, "peak {peak}");
@@ -1056,7 +903,7 @@ mod tests {
         // t_stop is not an integer multiple of dt: the last step is
         // shortened, never overshot.
         let (ckt, out) = rc_circuit(1e3, 1e-9);
-        let res = solve_transient(&ckt, 1e-6, 3e-7, None).unwrap();
+        let res = fixed_be(ckt, 1e-6, 3e-7).unwrap();
         assert_eq!(res.time.len(), 5); // 0, .3, .6, .9, 1.0 µs
         assert_eq!(*res.time.last().unwrap(), 1e-6);
         let v = *res.waveform(out).last().unwrap();
@@ -1067,7 +914,7 @@ mod tests {
     #[test]
     fn dt_larger_than_t_stop_is_one_clamped_step() {
         let (ckt, _) = rc_circuit(1e3, 1e-9);
-        let res = solve_transient(&ckt, 1e-6, 5e-6, None).unwrap();
+        let res = fixed_be(ckt, 1e-6, 5e-6).unwrap();
         assert_eq!(res.time, vec![0.0, 1e-6]);
     }
 
@@ -1076,8 +923,7 @@ mod tests {
         let (r, c) = (1e3, 1e-9); // tau = 1 µs
         let tau = r * c;
         let (ckt, out) = rc_circuit(r, c);
-        let run =
-            solve_transient_adaptive(&ckt, 5.0 * tau, None, &TransientOptions::default()).unwrap();
+        let run = adaptive(ckt, 5.0 * tau, &TransientOptions::default()).unwrap();
         let w = run.result.waveform(out);
         for (t, v) in run.result.time.iter().zip(&w) {
             let expect = 1.0 - (-t / tau).exp();
@@ -1093,7 +939,7 @@ mod tests {
             "adaptive should be coarse: {} steps",
             run.stats.accepted
         );
-        assert!(run.stats.factorizations > 0 && run.stats.factor_ops > 0);
+        assert!(run.stats.counters.factorizations > 0 && run.stats.counters.factor_ops > 0);
     }
 
     #[test]
@@ -1106,7 +952,6 @@ mod tests {
         // error genuinely accumulates at ~n_steps × per-step tolerance.
         let (r, c) = (1e3, 1e-9); // tau = 1 µs
         let tau = r * c;
-        let (ckt, out) = rc_circuit(r, c);
         let tight = |integrator| {
             let (rel_tol, abs_tol) = match integrator {
                 TimeIntegrator::BackwardEuler => (1e-7, 1e-10),
@@ -1121,7 +966,8 @@ mod tests {
         };
         let mut finals = Vec::new();
         for integ in [TimeIntegrator::BackwardEuler, TimeIntegrator::Bdf2] {
-            let run = solve_transient_adaptive(&ckt, 2.0 * tau, None, &tight(integ)).unwrap();
+            let (ckt, out) = rc_circuit(r, c);
+            let run = adaptive(ckt, 2.0 * tau, &tight(integ)).unwrap();
             let w = run.result.waveform(out);
             let max_err = run
                 .result
@@ -1155,7 +1001,7 @@ mod tests {
             dt_max: Some(1e-5),
             ..TransientOptions::default()
         };
-        let err = solve_transient_adaptive(&ckt, 4e-5, None, &opts).unwrap_err();
+        let err = adaptive(ckt, 4e-5, &opts).unwrap_err();
         assert!(
             matches!(err, CircuitError::TimestepTooSmall { .. }),
             "got {err:?}"
@@ -1164,20 +1010,20 @@ mod tests {
 
     #[test]
     fn adaptive_rejects_invalid_options() {
-        let (ckt, _) = rc_circuit(1e3, 1e-9);
+        let rc = || rc_circuit(1e3, 1e-9).0;
         let bad_tol = TransientOptions {
             rel_tol: 0.0,
             abs_tol: 0.0,
             ..TransientOptions::default()
         };
-        assert!(solve_transient_adaptive(&ckt, 1e-6, None, &bad_tol).is_err());
+        assert!(adaptive(rc(), 1e-6, &bad_tol).is_err());
         let bad_bounds = TransientOptions {
             dt_min: Some(1e-6),
             dt_max: Some(1e-9),
             ..TransientOptions::default()
         };
-        assert!(solve_transient_adaptive(&ckt, 1e-6, None, &bad_bounds).is_err());
-        assert!(solve_transient_adaptive(&ckt, -1.0, None, &TransientOptions::default()).is_err());
+        assert!(adaptive(rc(), 1e-6, &bad_bounds).is_err());
+        assert!(adaptive(rc(), -1.0, &TransientOptions::default()).is_err());
     }
 
     #[test]
@@ -1185,7 +1031,7 @@ mod tests {
         let (r, c) = (1e3, 1e-9); // tau = 1 µs
         let tau = r * c;
         let (ckt, out) = rc_circuit(r, c);
-        let res = solve_transient(&ckt, 5.0 * tau, tau / 400.0, None).unwrap();
+        let res = fixed_be(ckt, 5.0 * tau, tau / 400.0).unwrap();
         // The charging exponential crosses 0.5 exactly once, rising, at
         // t = tau·ln 2. The residual offset is backward Euler's own
         // first-order bias (~dt/2), so the interpolated crossing must
@@ -1235,13 +1081,14 @@ mod tests {
         // accurate as fixed BE at the same step size.
         let (r, c) = (1e3, 1e-9);
         let tau = r * c;
-        let (ckt, out) = rc_circuit(r, c);
         let max_err = |integrator| {
             let opts = TransientOptions {
                 integrator,
                 ..TransientOptions::default()
             };
-            let run = solve_transient_fixed(&ckt, 3.0 * tau, tau / 100.0, None, &opts).unwrap();
+            let (ckt, out) = rc_circuit(r, c);
+            let spec = TransientSpec::fixed(3.0 * tau, tau / 100.0).with_options(opts);
+            let run = Simulator::new(ckt).transient(&spec).unwrap();
             let w = run.result.waveform(out);
             run.result
                 .time

@@ -87,13 +87,6 @@ fn run_deck(text: &str) -> Vec<Vec<f64>> {
     report.rows.clone()
 }
 
-fn sparse_opts() -> NewtonOptions {
-    NewtonOptions {
-        solver: SolverKind::Sparse,
-        ..NewtonOptions::default()
-    }
-}
-
 /// The healthy corpus of contract 2: `stages` inverters, a resistor
 /// ladder with capacitive rungs, and a small current disturbance —
 /// swings stay well inside every device's limiter window.
@@ -191,7 +184,7 @@ proptest! {
             let opts = NewtonOptions {
                 limiting: false,
                 ptc: false,
-                ..sparse_opts()
+                ..NewtonOptions::default()
             };
             let mut sim = Simulator::with_options(circuit, opts);
             sim.op().expect("operating point").x().to_vec()
@@ -203,7 +196,7 @@ proptest! {
                     newton: NewtonOptions {
                         limiting: ladder,
                         ptc: ladder,
-                        ..sparse_opts()
+                        ..NewtonOptions::default()
                     },
                     integrator: TimeIntegrator::BackwardEuler,
                     ..TransientOptions::default()
@@ -213,10 +206,10 @@ proptest! {
         };
         let on = run(true);
         let off = run(false);
-        prop_assert_eq!(on.stats.limiter_clamps, 0);
-        prop_assert_eq!(on.stats.ptc_steps, 0);
+        prop_assert_eq!(on.stats.counters.limiter_clamps, 0);
+        prop_assert_eq!(on.stats.counters.ptc_steps, 0);
         prop_assert_eq!(on.stats.substeps, 0);
-        prop_assert_eq!(on.stats.armijo_backtracks, off.stats.armijo_backtracks);
+        prop_assert_eq!(on.stats.counters.armijo_backtracks, off.stats.counters.armijo_backtracks);
         prop_assert_eq!(on.result.time.len(), off.result.time.len());
         for (xo, xf) in on.result.states.iter().zip(&off.result.states) {
             for (a, b) in xo.iter().zip(xf) {

@@ -34,13 +34,6 @@ fn model() -> Arc<CompactCntFet> {
     }))
 }
 
-fn sparse_opts() -> NewtonOptions {
-    NewtonOptions {
-        solver: SolverKind::Sparse,
-        ..NewtonOptions::default()
-    }
-}
-
 /// A mixed R/C/V/I + CNFET netlist: `stages` inverters off a resistor
 /// ladder, capacitive loads, and a small current-source disturbance.
 fn mixed_netlist(stages: usize, rungs: &[f64], vdd: f64, isrc: f64) -> Circuit {
@@ -97,7 +90,7 @@ proptest! {
         let sweep_vals: Vec<f64> = (0..8).map(|k| vdd * (0.5 + 0.5 * k as f64 / 7.0)).collect();
         let spec = SweepSpec::new("VDD", sweep_vals);
         let run = |partial: bool| {
-            let opts = NewtonOptions { partial_refactor: partial, ..sparse_opts() };
+            let opts = NewtonOptions { partial_refactor: partial, ..NewtonOptions::default() };
             Simulator::with_options(mixed_netlist(stages, &rungs, vdd, isrc), opts)
                 .dc_sweep(&spec)
                 .expect("dc sweep")
@@ -122,7 +115,7 @@ proptest! {
     ) {
         let spec = |partial: bool| {
             TransientSpec::fixed(2e-9, 2e-11).with_options(TransientOptions {
-                newton: NewtonOptions { partial_refactor: partial, ..sparse_opts() },
+                newton: NewtonOptions { partial_refactor: partial, ..NewtonOptions::default() },
                 integrator: TimeIntegrator::BackwardEuler,
                 ..TransientOptions::default()
             })
@@ -134,8 +127,8 @@ proptest! {
         };
         let rp = run(true);
         let rf = run(false);
-        prop_assert!(rp.stats.partial_refactorizations > 0, "partial path must engage");
-        prop_assert_eq!(rf.stats.partial_refactorizations, 0);
+        prop_assert!(rp.stats.counters.partial_refactorizations > 0, "partial path must engage");
+        prop_assert_eq!(rf.stats.counters.partial_refactorizations, 0);
         prop_assert_eq!(rp.result.time.len(), rf.result.time.len());
         for (xp, xf) in rp.result.states.iter().zip(&rf.result.states) {
             for (a, b) in xp.iter().zip(xf) {
@@ -160,7 +153,7 @@ proptest! {
                 newton: NewtonOptions {
                     bypass,
                     bypass_vtol: vtol,
-                    ..sparse_opts()
+                    ..NewtonOptions::default()
                 },
                 integrator: TimeIntegrator::BackwardEuler,
                 ..TransientOptions::default()
@@ -173,8 +166,8 @@ proptest! {
         };
         let rb = run(true);
         let rf = run(false);
-        prop_assert!(rb.stats.device_bypasses > 0, "bypass must fire on the tail");
-        prop_assert_eq!(rf.stats.device_bypasses, 0);
+        prop_assert!(rb.stats.counters.device_bypasses > 0, "bypass must fire on the tail");
+        prop_assert_eq!(rf.stats.counters.device_bypasses, 0);
         prop_assert_eq!(rb.result.time.len(), rf.result.time.len());
         let bound = 1e3 * vtol;
         for (xb, xf) in rb.result.states.iter().zip(&rf.result.states) {
@@ -200,7 +193,7 @@ proptest! {
     ) {
         let c = mixed_netlist(stages, &rungs, vdd, 0.0);
         let n = c.unknown_count();
-        let mut engine = NewtonEngine::new(sparse_opts());
+        let mut engine = NewtonEngine::new(NewtonOptions::default());
         let x0 = vec![0.0; n];
         let (_, jac) = engine.assemble(&c, &x0, &AnalysisMode::Dc, 1e-9);
         let jac = jac.clone();

@@ -1,32 +1,21 @@
-//! Dense-vs-sparse equivalence of the MNA engine.
+//! The sparse LU against the dense reference LU.
 //!
-//! The sparse path (pattern-cached assembly + fill-reusing sparse LU)
-//! must be a pure performance change: on any netlist the node voltages
-//! it produces agree with the dense path to ≤ 1e-10, and on a large
-//! inverter chain its factorisation performs strictly fewer operations.
+//! The engine factors every Newton system with the sparse LU. At states
+//! along each random netlist's solve, the Newton step `J·dx = −F` that
+//! [`NewtonEngine::assemble`] produces must solve to the same `dx` with
+//! the sparse solver and with the dense partial-pivoting LU kept as a
+//! reference, to ≤ 1e-10 relative; and on a large inverter chain the
+//! sparse factorisation performs strictly fewer operations.
 
-use cntfet_circuit::element::AnalysisMode;
+use cntfet_circuit::element::{AnalysisMode, TransientStamp};
 use cntfet_circuit::prelude::*;
 use cntfet_circuit::transient::TransientOptions;
 use cntfet_core::CompactCntFet;
 use cntfet_numerics::sparse::{dense_lu_ops, DenseLuSolver, LinearSolver, SparseLuSolver};
+use cntfet_numerics::stats::inf_norm;
 use cntfet_reference::DeviceParams;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
-
-fn dense_opts() -> NewtonOptions {
-    NewtonOptions {
-        solver: SolverKind::Dense,
-        ..NewtonOptions::default()
-    }
-}
-
-fn sparse_opts() -> NewtonOptions {
-    NewtonOptions {
-        solver: SolverKind::Sparse,
-        ..NewtonOptions::default()
-    }
-}
 
 /// Shared compact model — fitted once for the whole test binary.
 fn model() -> Arc<CompactCntFet> {
@@ -36,18 +25,42 @@ fn model() -> Arc<CompactCntFet> {
     }))
 }
 
-fn max_node_voltage_diff(c: &Circuit, a: &Solution, b: &Solution) -> f64 {
-    (0..c.node_count())
-        .map(|i| (a.x[i] - b.x[i]).abs())
-        .fold(0.0f64, f64::max)
+/// Relative disagreement `‖dx_s − dx_d‖∞ / ‖dx_d‖∞` of the sparse and
+/// dense solutions of the Newton step `J·dx = −F` assembled at `x`
+/// (0 when the step itself is 0).
+fn step_disagreement(c: &Circuit, x: &[f64], mode: &AnalysisMode) -> f64 {
+    let mut engine = NewtonEngine::new(NewtonOptions::default());
+    let (f, j) = engine.assemble(c, x, mode, 0.0);
+    let neg_f: Vec<f64> = f.iter().map(|v| -v).collect();
+    let dense = DenseLuSolver::new().solve(j, &neg_f).expect("dense solve");
+    let sparse = SparseLuSolver::new()
+        .solve(j, &neg_f)
+        .expect("sparse solve");
+    let diff = dense
+        .iter()
+        .zip(&sparse)
+        .map(|(d, s)| (d - s).abs())
+        .fold(0.0f64, f64::max);
+    let scale = inf_norm(&dense);
+    if scale == 0.0 {
+        diff
+    } else {
+        diff / scale
+    }
+}
+
+/// The DC states a solve passes through: the cold start, the solution
+/// and the point halfway between.
+fn dc_states(solution: &[f64]) -> [Vec<f64>; 3] {
+    let half = solution.iter().map(|v| 0.5 * v).collect();
+    [vec![0.0; solution.len()], half, solution.to_vec()]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Randomised linear ladder networks (V and I sources, resistor
-    /// rungs and cross-links): dense and sparse node voltages agree to
-    /// ≤ 1e-10.
+    /// rungs and cross-links).
     #[test]
     fn linear_netlists_agree(
         rungs in proptest::collection::vec(100.0f64..1e5, 3..12),
@@ -76,19 +89,16 @@ proptest! {
             }
         }
         c.add(CurrentSource::dc("I1", Circuit::ground(), prev, isrc));
-        let sd = NewtonEngine::new(dense_opts())
+        let sol = NewtonEngine::new(NewtonOptions::default())
             .dc_operating_point(&c, None)
-            .expect("dense dc");
-        let ss = NewtonEngine::new(sparse_opts())
-            .dc_operating_point(&c, None)
-            .expect("sparse dc");
-        let diff = max_node_voltage_diff(&c, &sd, &ss);
-        prop_assert!(diff <= 1e-10, "dense vs sparse node voltages differ by {diff}");
+            .expect("dc");
+        for x in dc_states(&sol.x) {
+            let rel = step_disagreement(&c, &x, &AnalysisMode::Dc);
+            prop_assert!(rel <= 1e-10, "sparse vs dense Newton step differ by {rel}");
+        }
     }
 
-    /// Randomised CNFET inverter chains with resistive loads: the two
-    /// backends solve the same nonlinear system and their node voltages
-    /// agree to ≤ 1e-10.
+    /// Randomised CNFET inverter chains with resistive loads.
     #[test]
     fn cnfet_netlists_agree(
         stages in 1usize..4,
@@ -103,88 +113,64 @@ proptest! {
         c.add(VoltageSource::dc("VDD", vdd_node, Circuit::ground(), vdd));
         c.add(VoltageSource::dc("VIN", vin, Circuit::ground(), vin_frac * vdd));
         let outs = add_inverter_chain(&mut c, &tech, "chain", vin, stages, vdd_node);
-        // A resistive load at every stage keeps every node's conductance
-        // well above the convergence-tolerance noise floor, so the
-        // 1e-10 agreement bound is meaningful rather than lucky.
         for (i, &o) in outs.iter().enumerate() {
             c.add(Resistor::new(&format!("RL{i}"), o, Circuit::ground(), load));
         }
-        // Tight tolerances shrink the window in which the two backends
-        // may stop on different iterates.
-        let tight_dense = NewtonOptions {
-            node_current_tol: 1e-16,
-            extra_row_tol: 1e-19,
-            ..dense_opts()
-        };
-        let tight_sparse = NewtonOptions {
-            node_current_tol: 1e-16,
-            extra_row_tol: 1e-19,
-            ..sparse_opts()
-        };
-        let sd = NewtonEngine::new(tight_dense)
+        let sol = NewtonEngine::new(NewtonOptions::default())
             .dc_operating_point(&c, None)
-            .expect("dense dc");
-        let ss = NewtonEngine::new(tight_sparse)
-            .dc_operating_point(&c, None)
-            .expect("sparse dc");
-        let diff = max_node_voltage_diff(&c, &sd, &ss);
-        prop_assert!(diff <= 1e-10, "dense vs sparse node voltages differ by {diff}");
+            .expect("dc");
+        for x in dc_states(&sol.x) {
+            let rel = step_disagreement(&c, &x, &AnalysisMode::Dc);
+            prop_assert!(rel <= 1e-10, "sparse vs dense Newton step differ by {rel}");
+        }
     }
 
-    /// Transient backward-Euler on random RC ladders: waveforms from the
-    /// two backends agree to ≤ 1e-10 at every stored time point.
+    /// Backward-Euler transients on random RC ladders: the step systems
+    /// at every accepted time point.
     #[test]
     fn rc_transients_agree(
         rs in proptest::collection::vec(1e2f64..1e4, 2..6),
         c_f in 1e-12f64..1e-10,
     ) {
-        let build = || {
-            let mut ckt = Circuit::new();
-            let vin = ckt.node("in");
-            ckt.add(VoltageSource::with_waveform(
-                "V1",
-                vin,
-                Circuit::ground(),
-                Waveform::Pulse {
-                    low: 0.0,
-                    high: 1.0,
-                    delay: 0.0,
-                    rise: 1e-10,
-                    width: 1.0,
-                    fall: 1e-10,
-                    period: 0.0,
-                },
-            ));
-            let mut prev = vin;
-            for (i, &r) in rs.iter().enumerate() {
-                let nxt = ckt.node(&format!("n{i}"));
-                ckt.add(Resistor::new(&format!("R{i}"), prev, nxt, r));
-                ckt.add(Capacitor::new(&format!("C{i}"), nxt, Circuit::ground(), c_f));
-                prev = nxt;
-            }
-            ckt
-        };
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        ckt.add(VoltageSource::with_waveform(
+            "V1",
+            vin,
+            Circuit::ground(),
+            Waveform::Pulse {
+                low: 0.0,
+                high: 1.0,
+                delay: 0.0,
+                rise: 1e-10,
+                width: 1.0,
+                fall: 1e-10,
+                period: 0.0,
+            },
+        ));
+        let mut prev = vin;
+        for (i, &r) in rs.iter().enumerate() {
+            let nxt = ckt.node(&format!("n{i}"));
+            ckt.add(Resistor::new(&format!("R{i}"), prev, nxt, r));
+            ckt.add(Capacitor::new(&format!("C{i}"), nxt, Circuit::ground(), c_f));
+            prev = nxt;
+        }
         let tau = rs.iter().sum::<f64>() * c_f;
-        let (t_stop, dt) = (2.0 * tau, tau / 50.0);
-        let spec = |newton: NewtonOptions| {
-            TransientSpec::fixed(t_stop, dt).with_options(TransientOptions {
-                newton,
-                integrator: TimeIntegrator::BackwardEuler,
-                ..TransientOptions::default()
-            })
-        };
-        let td = Simulator::new(build())
-            .transient(&spec(dense_opts()))
-            .expect("dense tran")
-            .result;
-        let ts = Simulator::new(build())
-            .transient(&spec(sparse_opts()))
-            .expect("sparse tran")
-            .result;
-        prop_assert_eq!(td.time.len(), ts.time.len());
-        for (xd, xs) in td.states.iter().zip(&ts.states) {
-            for (a, b) in xd.iter().zip(xs) {
-                prop_assert!((a - b).abs() <= 1e-10, "{a} vs {b}");
+        let spec = TransientSpec::fixed(2.0 * tau, tau / 50.0).with_options(TransientOptions {
+            integrator: TimeIntegrator::BackwardEuler,
+            ..TransientOptions::default()
+        });
+        let mut sim = Simulator::new(ckt);
+        let run = sim.transient(&spec).expect("tran").result;
+        let states = run.time.windows(2).zip(run.states.windows(2));
+        for (t, x) in states {
+            // The step system from x[0] to t[1], at the start of the
+            // step and at its accepted solution.
+            let stamp = TransientStamp::backward_euler(t[1], t[1] - t[0], &x[0]);
+            let mode = AnalysisMode::Transient(stamp);
+            for at in [&x[0], &x[1]] {
+                let rel = step_disagreement(sim.circuit(), at, &mode);
+                prop_assert!(rel <= 1e-10, "sparse vs dense Newton step differ by {rel}");
             }
         }
     }
@@ -251,7 +237,7 @@ fn sparse_factorisation_beats_dense_ops_on_64_stage_chain() {
     let rhs: Vec<f64> = (0..n).map(|i| ((i % 5) as f64 - 2.0) * 1e-6).collect();
     let xd = dense.solve_factored(&rhs).expect("dense solve");
     let xs = sparse.solve_factored(&rhs).expect("sparse solve");
-    let scale = cntfet_numerics::stats::inf_norm(&xd).max(1.0);
+    let scale = inf_norm(&xd).max(1.0);
     for (a, b) in xd.iter().zip(&xs) {
         assert!(
             (a - b).abs() <= 1e-8 * scale,
@@ -260,38 +246,34 @@ fn sparse_factorisation_beats_dense_ops_on_64_stage_chain() {
     }
 }
 
-/// Warm-started sweeps through the sparse engine match the dense path —
-/// the whole VTC, not just one operating point.
+/// Along a warm-started inverter VTC sweep, the Newton step at every
+/// sweep point solves the same with both LUs.
 #[test]
 fn inverter_vtc_sweep_agrees_between_backends() {
     let tech = CntTechnology::symmetric(model(), 0.8);
-    let build = || {
-        let mut c = Circuit::new();
-        let vdd_node = c.node("vdd");
-        let vin = c.node("in");
-        let out = c.node("out");
-        c.add(VoltageSource::dc(
-            "VDD",
-            vdd_node,
-            Circuit::ground(),
-            tech.vdd,
-        ));
-        c.add(VoltageSource::dc("VIN", vin, Circuit::ground(), 0.0));
-        add_inverter(&mut c, &tech, "inv", vin, out, vdd_node);
-        c.add(Resistor::new("RL", out, Circuit::ground(), 1e5));
-        (c, out)
-    };
+    let mut c = Circuit::new();
+    let vdd_node = c.node("vdd");
+    let vin = c.node("in");
+    let out = c.node("out");
+    c.add(VoltageSource::dc(
+        "VDD",
+        vdd_node,
+        Circuit::ground(),
+        tech.vdd,
+    ));
+    c.add(VoltageSource::dc("VIN", vin, Circuit::ground(), 0.0));
+    add_inverter(&mut c, &tech, "inv", vin, out, vdd_node);
+    c.add(Resistor::new("RL", out, Circuit::ground(), 1e5));
     let vals: Vec<f64> = (0..=16).map(|i| 0.8 * i as f64 / 16.0).collect();
-    let (cd, out_d) = build();
-    let (cs, out_s) = build();
-    let spec = SweepSpec::new("VIN", vals);
-    let rd = Simulator::with_options(cd, dense_opts())
-        .dc_sweep(&spec)
-        .expect("dense sweep");
-    let rs = Simulator::with_options(cs, sparse_opts())
-        .dc_sweep(&spec)
-        .expect("sparse sweep");
-    for (a, b) in rd.voltages(out_d).iter().zip(rs.voltages(out_s)) {
-        assert!((a - b).abs() <= 1e-9, "VTC points differ: {a} vs {b}");
+    let mut sim = Simulator::new(c);
+    let sweep = sim
+        .dc_sweep(&SweepSpec::new("VIN", vals.clone()))
+        .expect("sweep");
+    for (v, sol) in vals.iter().zip(&sweep.solutions) {
+        sim.set_source("VIN", *v).expect("VIN exists");
+        for x in dc_states(&sol.x) {
+            let rel = step_disagreement(sim.circuit(), &x, &AnalysisMode::Dc);
+            assert!(rel <= 1e-10, "VIN = {v}: Newton steps differ by {rel}");
+        }
     }
 }

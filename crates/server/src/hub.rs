@@ -94,9 +94,8 @@ struct Table {
     retired: VecDeque<u64>,
     /// Jobs completed over the server's lifetime, by final state.
     finished: [u64; 3], // done, failed, cancelled
-    /// Lifetime convergence-aid totals summed over successful runs:
-    /// limiter clamps, Armijo backtracks, PTC stages.
-    convergence: [u64; 3],
+    /// Lifetime engine-counter totals summed over successful runs.
+    counters: CardStats,
 }
 
 impl Table {
@@ -337,14 +336,15 @@ impl Hub {
         }
     }
 
-    /// Server-level statistics: job counts, worker count, cache
-    /// hit/miss counters — the `stats` op response.
+    /// Server-level statistics: job counts, worker count, lifetime
+    /// engine counters, cache hit/miss counters — the `stats` op
+    /// response.
     pub fn stats(&self) -> Json {
         let table = self.lock();
         let queued = table.queue.len() as u64;
         let running = table.running as u64;
         let [done, failed, cancelled] = table.finished;
-        let [limiter_clamps, armijo_backtracks, ptc_steps] = table.convergence;
+        let counters = table.counters;
         drop(table);
         let models = self.models.stats();
         let engines = self.engines.stats();
@@ -361,14 +361,7 @@ impl Hub {
                 ]),
             ),
             ("workers", Json::num(self.workers as u64)),
-            (
-                "convergence",
-                Json::obj(vec![
-                    ("limiter_clamps", Json::num(limiter_clamps)),
-                    ("armijo_backtracks", Json::num(armijo_backtracks)),
-                    ("ptc_steps", Json::num(ptc_steps)),
-                ]),
-            ),
+            ("counters", counters_json(&counters)),
             (
                 "caches",
                 Json::obj(vec![
@@ -448,18 +441,12 @@ impl Hub {
         }
     }
 
-    /// Folds a finished run's convergence-aid counters into the
-    /// lifetime totals reported by the `stats` op.
-    fn record_convergence(&self, run: &DeckRun) {
-        let mut totals = [0u64; 3];
-        for report in &run.reports {
-            totals[0] += report.stats.limiter_clamps;
-            totals[1] += report.stats.armijo_backtracks;
-            totals[2] += report.stats.ptc_steps;
-        }
+    /// Folds a finished run's per-card counters into the lifetime
+    /// totals reported by the `stats` op.
+    fn record_counters(&self, run: &DeckRun) {
         let mut table = self.lock();
-        for (slot, add) in table.convergence.iter_mut().zip(totals) {
-            *slot += add;
+        for report in &run.reports {
+            table.counters += report.stats;
         }
     }
 
@@ -549,7 +536,7 @@ pub fn render_event(event: &RunEvent) -> String {
         RunEvent::ReportEnd { index, stats } => Json::obj(vec![
             ("type", Json::str("end")),
             ("index", Json::num(*index as u64)),
-            ("stats", card_stats_json(stats)),
+            ("stats", counters_json(stats)),
         ])
         .render(),
     }
@@ -565,25 +552,14 @@ fn csv_lines(rows: &[Vec<f64>]) -> String {
     out
 }
 
-fn card_stats_json(stats: &CardStats) -> Json {
-    Json::obj(vec![
-        ("factorizations", Json::num(stats.factorizations)),
-        (
-            "full_refactorizations",
-            Json::num(stats.full_refactorizations),
-        ),
-        (
-            "partial_refactorizations",
-            Json::num(stats.partial_refactorizations),
-        ),
-        ("columns_recomputed", Json::num(stats.columns_recomputed)),
-        ("columns_total", Json::num(stats.columns_total)),
-        ("device_evals", Json::num(stats.device_evals)),
-        ("device_bypasses", Json::num(stats.device_bypasses)),
-        ("limiter_clamps", Json::num(stats.limiter_clamps)),
-        ("armijo_backtracks", Json::num(stats.armijo_backtracks)),
-        ("ptc_steps", Json::num(stats.ptc_steps)),
-    ])
+/// Every engine counter as a JSON member, named as the engine names it.
+fn counters_json(counters: &CardStats) -> Json {
+    Json::Obj(
+        counters
+            .named()
+            .map(|(name, v)| (name.to_string(), Json::num(v)))
+            .collect(),
+    )
 }
 
 fn report_json(report: &AnalysisReport) -> Json {
@@ -594,7 +570,7 @@ fn report_json(report: &AnalysisReport) -> Json {
             Json::Arr(report.columns.iter().map(Json::str).collect()),
         ),
         ("csv", Json::Str(report.to_csv())),
-        ("stats", card_stats_json(&report.stats)),
+        ("stats", counters_json(&report.stats)),
     ])
 }
 
@@ -640,7 +616,7 @@ pub fn run_job(hub: &Hub, id: u64, deck_text: &str, cancel: &Arc<AtomicBool>) {
     });
     match outcome {
         Ok(run) => {
-            hub.record_convergence(&run);
+            hub.record_counters(&run);
             hub.settle(
                 id,
                 JobState::Done,

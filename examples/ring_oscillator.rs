@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         run.stats.rejected_lte,
         run.stats.rejected_newton,
         run.stats.newton_iterations,
-        run.stats.factorizations
+        run.stats.counters.factorizations
     );
     println!("t[ns]\tstage0[V]");
     for (t, v) in run.result.time.iter().zip(&w0).step_by(20) {

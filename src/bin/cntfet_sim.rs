@@ -27,9 +27,9 @@ const USAGE: &str =
     "usage: cntfet-sim [--csv] [--stats] [--check] [--lint] [lint options] <deck.cir>
 
   --csv             print analysis reports as CSV instead of aligned tables
-  --stats           print per-card solver statistics (factorizations full vs
-                    partial, columns recomputed, device evals vs bypasses,
-                    limiter clamps, armijo backtracks, ptc stages)
+  --stats           print per-card engine counters (factorizations by path,
+                    columns recomputed, device evals vs bypasses, limiter
+                    clamps, armijo backtracks, ptc stages)
   --check           parse, validate, lint and lower the deck but run nothing
   --lint            run the static deck analyzer and print its findings
 

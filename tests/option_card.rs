@@ -3,7 +3,7 @@
 //! (the knobs must actually reach the engine).
 
 use cntfet::circuit::deck::{Deck, OptionEntry};
-use cntfet::circuit::engine::{NewtonOptions, SolverKind};
+use cntfet::circuit::engine::NewtonOptions;
 use cntfet::circuit::transient::TransientOptions;
 
 fn deck(body: &str) -> Deck {
@@ -22,15 +22,14 @@ C1 out 0 1n
 #[test]
 fn option_card_parses_every_knob() {
     let d = deck(&format!(
-        "knobs\n.option reltol=1e-2 abstol=2u dtmin=1p\n.option bypass=1 bypassvtol=5e-5 solver=sparse\n.option limiting=0 armijo_c1=1e-3 ptc=off\n{RC_TAIL}"
+        "knobs\n.option reltol=1e-2 abstol=2u dtmin=1p\n.option bypass=1 bypassvtol=5e-5\n.option limiting=0 armijo_c1=1e-3 ptc=off\n{RC_TAIL}"
     ));
     let entries: Vec<&OptionEntry> = d.options.iter().flat_map(|c| &c.entries).collect();
-    assert_eq!(entries.len(), 9);
+    assert_eq!(entries.len(), 8);
 
     let newton = d.newton_options();
     assert!(newton.bypass);
     assert_eq!(newton.bypass_vtol, 5e-5);
-    assert_eq!(newton.solver, SolverKind::Sparse);
     assert!(!newton.limiting);
     assert_eq!(newton.armijo_c1, 1e-3);
     assert!(!newton.ptc);
@@ -65,11 +64,11 @@ fn later_entries_win() {
 #[test]
 fn display_round_trips_the_canonical_form() {
     let d = deck(&format!(
-        "round trip\n.option reltol=1e-2 bypass=1 solver=dense\n{RC_TAIL}"
+        "round trip\n.option reltol=1e-2 bypass=1 ptc=0\n{RC_TAIL}"
     ));
     let rendered = d.to_string();
     assert!(
-        rendered.contains(".option reltol=1e-2 bypass=1 solver=dense"),
+        rendered.contains(".option reltol=1e-2 bypass=1 ptc=0"),
         "canonical text missing from:\n{rendered}"
     );
     let again = deck(&rendered);
@@ -83,7 +82,6 @@ fn unknown_keys_and_bad_values_are_rejected_with_location() {
         (".option gmin=1e-12", "gmin"),
         (".option reltol=-1", "reltol"),
         (".option bypass=maybe", "bypass"),
-        (".option solver=cholesky", "solver"),
         (".option limiting=maybe", "limiting"),
         (".option armijo_c1=1.5", "armijo_c1"),
         (".option armijo_c1=0", "armijo_c1"),
@@ -116,16 +114,19 @@ fn reltol_reaches_the_adaptive_stepper() {
     );
 }
 
-/// Forcing the dense and sparse solvers on the same deck must agree:
-/// solver selection is a performance knob, not a semantics knob.
+/// There is one linear solver, so `solver` is no longer a key: it is
+/// rejected like any unknown option, with the list of accepted keys.
 #[test]
-fn solver_selection_changes_the_path_not_the_answer() {
-    let body = "V1 in 0 DC 2\nR1 in mid 1k\nR2 mid out 1k\nR3 out 0 1k\n.op\n.print op v(mid) v(out)\n.end\n";
-    let dense = deck(&format!("dense\n.option solver=dense\n{body}"))
-        .run()
-        .unwrap();
-    let sparse = deck(&format!("sparse\n.option solver=sparse\n{body}"))
-        .run()
-        .unwrap();
-    assert_eq!(dense.reports[0].rows, sparse.reports[0].rows);
+fn solver_is_an_unknown_option() {
+    let err = Deck::parse(&format!("gone\n.option solver=sparse\n{RC_TAIL}"))
+        .expect_err("solver is not an option")
+        .to_string();
+    assert!(
+        err.contains(
+            "unknown option 'solver'; .option accepts reltol, abstol, dtmin, bypass, \
+             bypassvtol, limiting, armijo_c1, ptc"
+        ),
+        "{err}"
+    );
+    assert!(err.contains(":2:"), "no line-2 location in:\n{err}");
 }
