@@ -200,7 +200,7 @@ pub struct ReportHeader {
 }
 
 /// A card's column names and its rows, in column order.
-type Rows = (Vec<String>, Vec<Vec<f64>>);
+type Table = (Vec<String>, Vec<Vec<f64>>);
 
 impl Deck {
     /// Runs every analysis card (see the [module docs](super) for the
@@ -316,7 +316,7 @@ impl Deck {
         label: &str,
         index: usize,
         emit: &mut dyn FnMut(RunEvent),
-    ) -> Result<Rows, DeckError> {
+    ) -> Result<Table, DeckError> {
         let probes = self.probes(AnalysisKind::Op);
         let columns: Vec<String> = probes.iter().map(|n| format!("v({n})")).collect();
         emit(RunEvent::ReportStart(ReportHeader {
@@ -347,7 +347,7 @@ impl Deck {
         label: &str,
         index: usize,
         emit: &mut dyn FnMut(RunEvent),
-    ) -> Result<Rows, DeckError> {
+    ) -> Result<Table, DeckError> {
         let probes = self.probes(AnalysisKind::Dc);
         let mut columns = vec![card.source.clone()];
         columns.extend(probes.iter().map(|n| format!("v({n})")));
@@ -392,7 +392,7 @@ impl Deck {
         label: &str,
         index: usize,
         emit: &mut dyn FnMut(RunEvent),
-    ) -> Result<Rows, DeckError> {
+    ) -> Result<Table, DeckError> {
         let probes = self.probes(AnalysisKind::Tran);
         let mut spec = match card.dt {
             Some(dt) => TransientSpec::fixed(card.t_stop, dt),
@@ -478,7 +478,7 @@ impl Deck {
         label: &str,
         index: usize,
         emit: &mut dyn FnMut(RunEvent),
-    ) -> Result<Rows, DeckError> {
+    ) -> Result<Table, DeckError> {
         let probes = self.probes(AnalysisKind::Ac);
         let grid = match card.scale {
             AcScale::Dec => FreqGrid::Decade {
