@@ -123,8 +123,7 @@ impl TransientStamp {
 /// Jacobian writes go through a pattern-aware [`PatternAssembler`]: the
 /// first assembly of a circuit records the sparsity pattern; every later
 /// Newton iteration writes values into the preallocated slots with no
-/// per-iteration allocation. The solver layer decides whether the
-/// assembled CSR matrix is factored densely or sparsely.
+/// per-iteration allocation.
 #[derive(Debug)]
 pub struct Mna<'a> {
     residual: &'a mut [f64],

@@ -49,8 +49,8 @@ fn step_disagreement(c: &Circuit, x: &[f64], mode: &AnalysisMode) -> f64 {
     }
 }
 
-/// The DC states a solve passes through: the cold start, the solution
-/// and the point halfway between.
+/// Three states on the way from the cold start to the DC solution: the
+/// start, the midpoint and the solution itself.
 fn dc_states(solution: &[f64]) -> [Vec<f64>; 3] {
     let half = solution.iter().map(|v| 0.5 * v).collect();
     [vec![0.0; solution.len()], half, solution.to_vec()]

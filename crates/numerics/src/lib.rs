@@ -11,7 +11,7 @@
 //! * [`linalg`] — dense matrices, LU with partial pivoting, and
 //!   Householder-QR least squares;
 //! * [`sparse`] — triplet → CSR assembly with a cached sparsity pattern
-//!   and a [`sparse::LinearSolver`] trait (dense-LU fallback + fill-reusing
+//!   and a [`sparse::LinearSolver`] trait (dense-LU reference + fill-reusing
 //!   sparse LU, scalar-generic over real and complex values) for the
 //!   circuit simulator's MNA systems;
 //! * [`complex`] — a minimal complex number for the frequency-domain

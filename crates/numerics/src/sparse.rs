@@ -10,12 +10,13 @@
 //!   writes values straight into the preallocated slots with no
 //!   allocation and no sorting.
 //! * **Factorisation** — the [`LinearSolver`] trait has two
-//!   implementations: [`DenseLuSolver`], the existing dense
-//!   partial-pivoting LU as a fallback, and [`SparseLuSolver`], a sparse
-//!   LU whose pivot order and fill-in pattern are chosen once
-//!   (Markowitz-style threshold pivoting) and then **reused across
-//!   factorizations** — subsequent factors replay the elimination over
-//!   the frozen pattern with a dense scatter workspace, KLU-style.
+//!   implementations: [`DenseLuSolver`], the dense partial-pivoting LU
+//!   kept as the reference that tests and benches compare against, and
+//!   [`SparseLuSolver`], the circuit engine's solver: a sparse LU whose
+//!   pivot order and fill-in pattern are chosen once (Markowitz-style
+//!   threshold pivoting) and then **reused across factorizations** —
+//!   subsequent factors replay the elimination over the frozen pattern
+//!   with a dense scatter workspace, KLU-style.
 //!
 //! Both solvers count the multiply–accumulate/divide operations of their
 //! most recent factorisation ([`LinearSolver::factor_ops`]), so the
@@ -771,16 +772,6 @@ impl FactorPathStats {
     }
 }
 
-impl AddAssign for FactorPathStats {
-    fn add_assign(&mut self, rhs: FactorPathStats) {
-        self.symbolic_factorizations += rhs.symbolic_factorizations;
-        self.replay_refactorizations += rhs.replay_refactorizations;
-        self.partial_refactorizations += rhs.partial_refactorizations;
-        self.columns_recomputed += rhs.columns_recomputed;
-        self.columns_total += rhs.columns_total;
-    }
-}
-
 /// Pattern-caching assembly target.
 ///
 /// The first assembly cycle (`begin` → `add`s → `finish`) records
@@ -972,13 +963,7 @@ impl PatternAssembler {
 /// `factor` may cache symbolic work keyed on the matrix's shared
 /// [`SparsityPattern`]; `solve_factored` reuses the latest factors for
 /// any number of right-hand sides.
-///
-/// `Send` is a supertrait so a boxed solver — and anything caching one,
-/// like a warm Newton engine — can migrate between worker threads.
-pub trait LinearSolver: std::fmt::Debug + Send {
-    /// Short human-readable solver name (for benchmark tables).
-    fn name(&self) -> &'static str;
-
+pub trait LinearSolver: std::fmt::Debug {
     /// Factors `a`, replacing any previously stored factors. A failed
     /// factorisation discards the previous factors as well (they may
     /// have been partially overwritten), so `solve_factored` errors
@@ -1053,7 +1038,7 @@ pub fn dense_lu_ops(n: usize) -> u64 {
         .sum()
 }
 
-/// The dense fallback: scatters the sparse matrix into a reused dense
+/// The dense reference: scatters the sparse matrix into a reused dense
 /// buffer and runs the existing partial-pivoting LU.
 #[derive(Debug, Default)]
 pub struct DenseLuSolver {
@@ -1072,10 +1057,6 @@ impl DenseLuSolver {
 }
 
 impl LinearSolver for DenseLuSolver {
-    fn name(&self) -> &'static str {
-        "dense-lu"
-    }
-
     fn factor(&mut self, a: &CsrMatrix) -> Result<(), NumericsError> {
         let n = a.rows();
         if n != a.cols() {
@@ -2007,10 +1988,6 @@ impl SparseLuSolver {
 }
 
 impl LinearSolver for SparseLuSolver {
-    fn name(&self) -> &'static str {
-        "sparse-lu"
-    }
-
     fn factor(&mut self, a: &CsrMatrix) -> Result<(), NumericsError> {
         self.core.factor(a.pattern(), a.values())
     }
