@@ -29,7 +29,7 @@ use crate::element::{node_voltage, AnalysisMode, DeviceState, Element, Mna, Stam
 use crate::netlist::NodeId;
 use cntfet_core::CompactCntFet;
 use cntfet_physics::constants::BALLISTIC_CURRENT_PREFACTOR;
-use cntfet_physics::fermi::fermi_integral_zero_derivative;
+use cntfet_physics::fermi::fermi_integral_zero_with_derivative;
 use cntfet_reference::current::drain_current;
 use std::sync::Arc;
 
@@ -107,36 +107,46 @@ impl CnfetElement {
         }
     }
 
-    /// Drain current and its partial derivatives w.r.t. `(vsc, vds)` in
-    /// mirrored (n-type) space.
-    fn current_core(&self, vsc: f64, vds: f64) -> (f64, f64, f64) {
+    /// The expensive channel quantities at a mirrored operating point
+    /// `(vsc, vds)`: fitted-charge values/derivatives at both band
+    /// edges and the ballistic transport current with its derivatives
+    /// w.r.t. `(vsc, vds)`. Everything else in the stamp is affine in the
+    /// terminal voltages, so this array is exactly what device bypass
+    /// caches.
+    ///
+    /// Layout: `[q_src, dq_src, q_drn, dq_drn, i, di_dvsc, di_dvds]`.
+    ///
+    /// With `jacobian` off only the three values are computed and the
+    /// derivative slots hold 0 (a residual-only stamp never reads them).
+    /// The values are bitwise the same either way: the fused value/slope
+    /// kernels equal the value-only calls bit for bit.
+    fn eval_channel(&self, vsc: f64, vds: f64, jacobian: bool) -> [f64; 7] {
+        let charge = self.model.charge();
         let p = self.model.params();
         let ef = p.fermi_level.value();
         let kt = p.thermal_energy_ev();
         let temperature = p.temperature.value();
-        let i = drain_current(ef, vsc, vds, temperature, kt);
+        if !jacobian {
+            let i = drain_current(ef, vsc, vds, temperature, kt);
+            return [
+                charge.eval(vsc),
+                0.0,
+                charge.eval(vsc + vds),
+                0.0,
+                i,
+                0.0,
+                0.0,
+            ];
+        }
+        let (q_src, dq_src) = charge.eval_with_derivative(vsc);
+        let (q_drn, dq_drn) = charge.eval_with_derivative(vsc + vds);
+        // `drain_current` with each F₀ sharing its exp with F₀′.
+        let (f0_s, sig_s) = fermi_integral_zero_with_derivative((ef - vsc) / kt);
+        let (f0_d, sig_d) = fermi_integral_zero_with_derivative((ef - vsc - vds) / kt);
+        let i = BALLISTIC_CURRENT_PREFACTOR * temperature * (f0_s - f0_d);
         let k = BALLISTIC_CURRENT_PREFACTOR * temperature / kt;
-        let sig_s = fermi_integral_zero_derivative((ef - vsc) / kt);
-        let sig_d = fermi_integral_zero_derivative((ef - vsc - vds) / kt);
         let di_dvsc = -k * (sig_s - sig_d);
         let di_dvds = k * sig_d;
-        (i, di_dvsc, di_dvds)
-    }
-
-    /// The expensive channel quantities at a mirrored operating point
-    /// `(vsc, vds)`: fitted-charge values/derivatives at both band
-    /// edges and the ballistic transport current with its derivatives.
-    /// Everything else in the stamp is affine in the terminal voltages,
-    /// so this array is exactly what device bypass caches.
-    ///
-    /// Layout: `[q_src, dq_src, q_drn, dq_drn, i, di_dvsc, di_dvds]`.
-    fn eval_channel(&self, vsc: f64, vds: f64) -> [f64; 7] {
-        let charge = self.model.charge();
-        let q_src = charge.eval(vsc);
-        let dq_src = charge.eval_derivative(vsc);
-        let q_drn = charge.eval(vsc + vds);
-        let dq_drn = charge.eval_derivative(vsc + vds);
-        let (i, di_dvsc, di_dvds) = self.current_core(vsc, vds);
         [q_src, dq_src, q_drn, dq_drn, i, di_dvsc, di_dvds]
     }
 
@@ -249,7 +259,7 @@ impl Element for CnfetElement {
 
     fn stamp(&self, x: &[f64], sigma: usize, mode: &AnalysisMode, mna: &mut Mna<'_>) {
         let (vsc, vds) = self.control_voltages(x, sigma);
-        let ev = self.eval_channel(vsc, vds);
+        let ev = self.eval_channel(vsc, vds, mna.wants_jacobian());
         self.stamp_with_eval(x, sigma, mode, mna, &ev);
     }
 
@@ -289,11 +299,16 @@ impl Element for CnfetElement {
             self.stamp_with_eval(x, sigma, mode, mna, &ev);
             StampOutcome::Bypassed
         } else {
-            let ev = self.eval_channel(vsc, vds);
+            let jacobian = mna.wants_jacobian();
+            let ev = self.eval_channel(vsc, vds, jacobian);
+            self.stamp_with_eval(x, sigma, mode, mna, &ev);
+            if !jacobian {
+                // Values only: the cache keeps its last full evaluation.
+                return StampOutcome::ResidualOnly;
+            }
             state.key = Some([vsc, vds]);
             state.vals.clear();
             state.vals.extend_from_slice(&ev);
-            self.stamp_with_eval(x, sigma, mode, mna, &ev);
             StampOutcome::Evaluated
         }
     }
@@ -414,6 +429,55 @@ mod tests {
         let sol = solve_dc(&c);
         let bases = c.extra_var_bases();
         assert!(sol.x[bases[0]].abs() < 1e-12);
+    }
+
+    #[test]
+    fn fused_channel_kernel_equals_the_separate_calls_bitwise() {
+        use cntfet_physics::fermi::fermi_integral_zero_derivative;
+        let m = model();
+        let e = CnfetElement::new(
+            "M",
+            Arc::clone(&m),
+            Polarity::N,
+            NodeId::GROUND,
+            NodeId::GROUND,
+            NodeId::GROUND,
+            100e-9,
+        );
+        let charge = m.charge();
+        let p = m.params();
+        let (ef, kt, temp) = (
+            p.fermi_level.value(),
+            p.thermal_energy_ev(),
+            p.temperature.value(),
+        );
+        let mut vscs: Vec<f64> = (-60..=60).map(|k| k as f64 * 0.0137).collect();
+        vscs.extend(charge.breakpoints());
+        vscs.extend([0.0, -0.0]);
+        for &vsc in &vscs {
+            for vds in [0.0, -0.0, 0.05, 0.4, 0.8, -0.3, 1.7] {
+                let full = e.eval_channel(vsc, vds, true);
+                let k = BALLISTIC_CURRENT_PREFACTOR * temp / kt;
+                let sig_s = fermi_integral_zero_derivative((ef - vsc) / kt);
+                let sig_d = fermi_integral_zero_derivative((ef - vsc - vds) / kt);
+                let separate = [
+                    charge.eval(vsc),
+                    charge.eval_derivative(vsc),
+                    charge.eval(vsc + vds),
+                    charge.eval_derivative(vsc + vds),
+                    drain_current(ef, vsc, vds, temp, kt),
+                    -k * (sig_s - sig_d),
+                    k * sig_d,
+                ];
+                let values = e.eval_channel(vsc, vds, false);
+                for (slot, (a, b)) in full.iter().zip(&separate).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "slot {slot} at ({vsc}, {vds})");
+                }
+                for slot in [0, 2, 4] {
+                    assert_eq!(full[slot].to_bits(), values[slot].to_bits());
+                }
+            }
+        }
     }
 
     #[test]

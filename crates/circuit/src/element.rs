@@ -123,19 +123,33 @@ impl TransientStamp {
 /// Jacobian writes go through a pattern-aware [`PatternAssembler`]: the
 /// first assembly of a circuit records the sparsity pattern; every later
 /// Newton iteration writes values into the preallocated slots with no
-/// per-iteration allocation.
+/// per-iteration allocation. A residual-only target (no assembler)
+/// turns every `add_j_*` into a no-op, so the one stamp code path
+/// serves both the full and the residual-only assembly.
 #[derive(Debug)]
 pub struct Mna<'a> {
     residual: &'a mut [f64],
-    jacobian: &'a mut PatternAssembler,
+    jacobian: Option<&'a mut PatternAssembler>,
 }
 
 impl<'a> Mna<'a> {
-    /// Wraps a residual vector and a Jacobian assembler for one assembly
-    /// pass. The caller is responsible for `begin`/`finish` on the
-    /// assembler.
-    pub fn new(residual: &'a mut [f64], jacobian: &'a mut PatternAssembler) -> Self {
+    /// Wraps a residual vector and, unless the pass is residual-only, a
+    /// Jacobian assembler for one assembly pass. The caller is
+    /// responsible for `begin`/`finish` on the assembler.
+    pub fn new(residual: &'a mut [f64], jacobian: Option<&'a mut PatternAssembler>) -> Self {
         Mna { residual, jacobian }
+    }
+
+    /// `false` on a residual-only pass: the element may skip computing
+    /// derivatives nobody will store.
+    pub fn wants_jacobian(&self) -> bool {
+        self.jacobian.is_some()
+    }
+
+    fn add_j(&mut self, row: usize, col: usize, v: f64) {
+        if let Some(j) = self.jacobian.as_deref_mut() {
+            j.add(row, col, v);
+        }
     }
 
     /// Adds `v` to the residual row of `node` (no-op for ground).
@@ -145,7 +159,8 @@ impl<'a> Mna<'a> {
         }
     }
 
-    /// Adds `v` to the residual of an extra-variable row.
+    /// Adds `v` to the residual at raw unknown index `row` (an
+    /// extra-variable row, or a node row already resolved to its index).
     pub fn add_f_extra(&mut self, row: usize, v: f64) {
         self.residual[row] += v;
     }
@@ -154,41 +169,33 @@ impl<'a> Mna<'a> {
     /// `col`). Prefer the typed helpers below; this exists for stamps
     /// that have already resolved their node indices.
     pub fn add_j_index(&mut self, row: usize, col: usize, v: f64) {
-        self.jacobian.add(row, col, v);
+        self.add_j(row, col, v);
     }
 
     /// Adds `v` to the Jacobian entry (`row` node, `col` node).
     pub fn add_j_nodes(&mut self, row: NodeId, col: NodeId, v: f64) {
         if let (Some(r), Some(c)) = (row.unknown_index(), col.unknown_index()) {
-            self.jacobian.add(r, c, v);
+            self.add_j(r, c, v);
         }
     }
 
     /// Adds `v` to the Jacobian entry (node row, extra-variable column).
     pub fn add_j_node_extra(&mut self, row: NodeId, col: usize, v: f64) {
         if let Some(r) = row.unknown_index() {
-            self.jacobian.add(r, col, v);
+            self.add_j(r, col, v);
         }
     }
 
     /// Adds `v` to the Jacobian entry (extra-variable row, node column).
     pub fn add_j_extra_node(&mut self, row: usize, col: NodeId, v: f64) {
         if let Some(c) = col.unknown_index() {
-            self.jacobian.add(row, c, v);
+            self.add_j(row, c, v);
         }
     }
 
     /// Adds `v` to the Jacobian entry (extra row, extra column).
     pub fn add_j_extra_extra(&mut self, row: usize, col: usize, v: f64) {
-        self.jacobian.add(row, col, v);
-    }
-
-    /// Number of Jacobian adds issued so far this assembly cycle (the
-    /// assembler's recorded write count while recording). The engine
-    /// captures the count before/after each element's stamp to learn
-    /// which Jacobian slots the element owns.
-    pub fn jacobian_write_count(&self) -> usize {
-        self.jacobian.write_count()
+        self.add_j(row, col, v);
     }
 }
 
@@ -225,6 +232,9 @@ pub enum StampOutcome {
     /// The element re-stamped cached values because its controlling
     /// voltages moved less than the bypass tolerance.
     Bypassed,
+    /// The element evaluated its device equations for the residual
+    /// only (a residual-only [`Mna`]), leaving its cache untouched.
+    ResidualOnly,
 }
 
 /// A circuit element that can stamp itself into the MNA system.
@@ -251,9 +261,11 @@ pub trait Element: fmt::Debug {
     /// intermediates (re-linearised at the *cached* operating point)
     /// instead of re-evaluating its device equations — the SPICE3
     /// device-bypass move. A negative `vtol` disables bypassing but
-    /// still maintains the cache. The default implementation forwards
-    /// to `stamp` (correct for elements with nothing expensive to
-    /// skip).
+    /// still maintains the cache. On a residual-only `mna` an element
+    /// that is not bypassed evaluates values only and leaves the cache
+    /// as it was ([`StampOutcome::ResidualOnly`]), since the cache holds
+    /// derivatives too. The default implementation forwards to `stamp`
+    /// (correct for elements with nothing expensive to skip).
     fn stamp_cached(
         &self,
         x: &[f64],

@@ -8,12 +8,23 @@
 //!
 //! * a pattern-cached assembler ([`cntfet_numerics::sparse::PatternAssembler`]):
 //!   the first assembly of a circuit records the MNA sparsity pattern;
-//!   every later iteration — across damping trials, gmin steps, sweep
-//!   points and transient steps — writes values into preallocated slots
-//!   with no allocation;
+//!   every later iteration — across gmin steps, sweep points and
+//!   transient steps — writes values into preallocated slots with no
+//!   allocation;
 //! * a [`SparseLuSolver`] that picks its pivot order and fill-in
 //!   pattern once and replays the frozen elimination across
 //!   factorizations (fully, or partially from the changed slots).
+//!
+//! Damping trials after the first assemble the residual only: the
+//! Armijo test reads `F`, and a rejected trial's Jacobian was always
+//! thrown away. Such an assembly evaluates each CNFET's values without
+//! derivatives and writes no Jacobian slot
+//! ([`EngineCounters::residual_evals`] counts those evaluations); an
+//! accepted backtracked trial gets its Jacobian at the top of the next
+//! iteration, unless it has already converged. Assembly is a pure
+//! function of `x`, so every iterate is bitwise what full assemblies
+//! give. Device bypass keeps full trials (its cache is history-
+//! dependent).
 //!
 //! The cache is keyed on [`Circuit::id`], [`Circuit::revision`], the
 //! unknown count and the analysis *kind* (DC vs transient), so a
@@ -226,8 +237,12 @@ engine_counters! {
     columns_recomputed,
     /// Columns that a full factorization would have recomputed.
     columns_total,
-    /// Nonlinear device evaluations that ran the full model.
+    /// Nonlinear device evaluations that ran the full model (values
+    /// and derivatives).
     device_evals,
+    /// Nonlinear device evaluations for a residual-only assembly (an
+    /// Armijo trial after the first): values only, no derivatives.
+    residual_evals,
     /// Nonlinear device evaluations skipped by the bypass layer.
     device_bypasses,
     /// Newton steps scaled down by per-device voltage limiting.
@@ -719,9 +734,13 @@ impl NewtonEngine {
         }
     }
 
-    /// Assembles `F(x)` and `J(x)` into the engine's reused buffers.
-    /// `ptc` (only `Some` inside a pseudo-transient rescue stage) adds
-    /// its diagonal regularization through the reserved gmin slots.
+    /// Assembles `F(x)` and, with `jacobian` on, `J(x)` into the
+    /// engine's reused buffers. A residual-only pass (`jacobian` off)
+    /// runs the same stamps against an [`Mna`] without a Jacobian
+    /// target: devices evaluate values only, and the assembler — with
+    /// the last assembled Jacobian — is left untouched. `ptc` (only
+    /// `Some` inside a pseudo-transient rescue stage) adds its diagonal
+    /// regularization through the reserved gmin slots.
     fn assemble_into(
         &mut self,
         circuit: &Circuit,
@@ -729,76 +748,58 @@ impl NewtonEngine {
         mode: &AnalysisMode,
         gmin: f64,
         ptc: Option<&PtcTerm<'_>>,
+        jacobian: bool,
     ) {
         self.ensure_cache(circuit, matches!(mode, AnalysisMode::Transient(_)));
         let active = self.active;
         let cache = self.caches[active].as_mut().expect("cache ensured above");
         self.residual.iter_mut().for_each(|v| *v = 0.0);
-        cache.asm.begin();
-        {
-            // A negative tolerance disables the bypass while keeping
-            // each device's evaluation cache warm (and its eval counted).
-            let vtol = if self.opts.bypass {
-                self.opts.bypass_vtol
-            } else {
-                -1.0
-            };
-            let mut mna = Mna::new(&mut self.residual, &mut cache.asm);
-            let elements = circuit.elements().iter().zip(&cache.bases);
-            for ((e, &base), state) in elements.zip(&mut cache.states) {
-                match e.stamp_cached(x, base, mode, &mut mna, state, vtol) {
-                    StampOutcome::Evaluated => self.counters.device_evals += 1,
-                    StampOutcome::Bypassed => self.counters.device_bypasses += 1,
-                    StampOutcome::Static => {}
-                }
+        if jacobian {
+            cache.asm.begin();
+        }
+        // A negative tolerance disables the bypass while keeping each
+        // device's evaluation cache warm (and its eval counted).
+        let vtol = if self.opts.bypass {
+            self.opts.bypass_vtol
+        } else {
+            -1.0
+        };
+        let mut mna = Mna::new(&mut self.residual, jacobian.then_some(&mut cache.asm));
+        let elements = circuit.elements().iter().zip(&cache.bases);
+        for ((e, &base), state) in elements.zip(&mut cache.states) {
+            match e.stamp_cached(x, base, mode, &mut mna, state, vtol) {
+                StampOutcome::Evaluated => self.counters.device_evals += 1,
+                StampOutcome::ResidualOnly => self.counters.residual_evals += 1,
+                StampOutcome::Bypassed => self.counters.device_bypasses += 1,
+                StampOutcome::Static => {}
             }
         }
         // Structural diagonal: reserves every (i, i) slot so the gmin
         // ramp, the pseudo-transient regularization and the pivot search
         // always have a diagonal to write to, regardless of which values
         // recorded the pattern. A gmin leak from every node to ground
-        // keeps the matrix non-singular while far from convergence.
-        // Both branches issue one add() per diagonal in the same order,
-        // so the tracked write sequence is identical either way.
+        // keeps the matrix non-singular while far from convergence; the
+        // pseudo-transient term adds `g·(x − anchor)` on masked rows.
+        // Every pass issues one add() per diagonal in the same order, so
+        // the tracked write sequence never changes.
         let nodes = circuit.node_count();
-        match ptc {
-            None => {
-                if gmin > 0.0 {
-                    for (i, (ri, &xi)) in self.residual.iter_mut().zip(x).take(nodes).enumerate() {
-                        *ri += gmin * xi;
-                        cache.asm.add(i, i, gmin);
-                    }
-                } else {
-                    for i in 0..nodes {
-                        cache.asm.add(i, i, 0.0);
-                    }
-                }
-                for i in nodes..cache.unknowns {
-                    cache.asm.add(i, i, 0.0);
-                }
+        for (i, &xi) in x.iter().enumerate().take(cache.unknowns) {
+            let base = if i < nodes && gmin > 0.0 { gmin } else { 0.0 };
+            let (reg, anchor) = match ptc {
+                Some(p) if p.mask[i] => (p.g, p.anchor[i]),
+                _ => (0.0, 0.0),
+            };
+            if base > 0.0 {
+                mna.add_f_extra(i, base * xi);
             }
-            Some(p) => {
-                let rows = self
-                    .residual
-                    .iter_mut()
-                    .zip(x)
-                    .zip(p.mask.iter().zip(p.anchor))
-                    .enumerate()
-                    .take(cache.unknowns);
-                for (i, ((ri, &xi), (&masked, &anchor))) in rows {
-                    let base = if i < nodes && gmin > 0.0 { gmin } else { 0.0 };
-                    let reg = if masked { p.g } else { 0.0 };
-                    if base > 0.0 {
-                        *ri += base * xi;
-                    }
-                    if reg > 0.0 {
-                        *ri += reg * (xi - anchor);
-                    }
-                    cache.asm.add(i, i, base + reg);
-                }
+            if reg > 0.0 {
+                mna.add_f_extra(i, reg * (xi - anchor));
             }
+            mna.add_j_index(i, i, base + reg);
         }
-        cache.asm.finish();
+        if jacobian {
+            cache.asm.finish();
+        }
     }
 
     /// Assembles and returns `F(x)` and the CSR Jacobian at `x` — the
@@ -811,7 +812,7 @@ impl NewtonEngine {
         mode: &AnalysisMode,
         gmin: f64,
     ) -> (&[f64], &CsrMatrix) {
-        self.assemble_into(circuit, x, mode, gmin, None);
+        self.assemble_into(circuit, x, mode, gmin, None, true);
         let cache = self.cache().expect("cache ensured by assemble");
         (
             &self.residual,
@@ -835,12 +836,18 @@ impl NewtonEngine {
     }
 
     /// One pass of the damped-Newton iteration, shared by the plain
-    /// solve and every pseudo-transient rescue stage. Each trial point
-    /// of the line search is assembled exactly once: the accepted
-    /// trial's residual/Jacobian stay in the engine buffers and seed
-    /// the next iteration, and when no damping step satisfies the
-    /// Armijo condition the smallest already-assembled step is adopted
-    /// as-is (Newton may still escape a shallow plateau).
+    /// solve and every pseudo-transient rescue stage. The first trial
+    /// point of the line search (the full step) is assembled with its
+    /// Jacobian, which seeds the next iteration when the step is
+    /// accepted. Every backtracked trial assembles `F` only: most are
+    /// rejected, and an accepted one has its Jacobian assembled at the
+    /// top of the next iteration — unless that iterate has already
+    /// converged. Assembly is a pure function of `x`, so the iterates
+    /// are bitwise those of assembling every trial in full. Runs with
+    /// device bypass on keep full trials: the bypass cache must see
+    /// every evaluation to reproduce its history-dependent stamps. When
+    /// no damping step satisfies the Armijo condition the smallest step
+    /// is adopted as-is (Newton may still escape a shallow plateau).
     ///
     /// With `detect_cycles` on, two stall triggers exit
     /// [`LoopExit::Stalled`] rather than burning the rest of the
@@ -869,7 +876,7 @@ impl NewtonEngine {
         rescue_cap: bool,
     ) -> Result<LoopExit, CircuitError> {
         let n = x.len();
-        self.assemble_into(circuit, x, mode, gmin, ptc);
+        self.assemble_into(circuit, x, mode, gmin, ptc, true);
         let mut fnorm = inf_norm(&self.residual);
         let mut neg_f = vec![0.0; n];
         let mut trial = vec![0.0; n];
@@ -899,10 +906,15 @@ impl NewtonEngine {
             0
         };
         let mut force_full = false;
+        // Set when the accepted trial was assembled residual-only.
+        let mut jacobian_stale = false;
         for it in 0..max_iter {
             self.check_cancel()?;
             if self.converged(circuit) {
                 return Ok(LoopExit::Converged(it));
+            }
+            if jacobian_stale {
+                self.assemble_into(circuit, x, mode, gmin, ptc, true);
             }
             let mut dx = {
                 for (nf, f) in neg_f.iter_mut().zip(&self.residual) {
@@ -996,13 +1008,15 @@ impl NewtonEngine {
                 for ((t, &xi), &di) in trial.iter_mut().zip(x.iter()).zip(&dx) {
                     *t = xi + alpha * di;
                 }
-                self.assemble_into(circuit, &trial, mode, gmin, ptc);
+                let full = h == 0 || self.opts.bypass;
+                self.assemble_into(circuit, &trial, mode, gmin, ptc, full);
                 let tnorm = inf_norm(&self.residual);
                 let improved =
                     unconditional || tnorm <= fnorm * (1.0 - c1 * alpha) || tnorm < 1e-18;
                 if improved || h == max_halvings {
                     x.copy_from_slice(&trial);
                     fnorm = tnorm;
+                    jacobian_stale = !full;
                     break;
                 }
                 alpha *= 0.5;
@@ -1173,7 +1187,7 @@ impl NewtonEngine {
         if matches!(mode, AnalysisMode::Dc) {
             return vec![0.0; n];
         }
-        self.assemble_into(circuit, x, mode, gmin, None);
+        self.assemble_into(circuit, x, mode, gmin, None, true);
         let diag_t: Vec<f64> = {
             let m = self
                 .cache()
@@ -1181,7 +1195,7 @@ impl NewtonEngine {
                 .expect("assembly finished");
             (0..n).map(|i| m.get(i, i)).collect()
         };
-        self.assemble_into(circuit, x, &AnalysisMode::Dc, gmin, None);
+        self.assemble_into(circuit, x, &AnalysisMode::Dc, gmin, None, true);
         let diag_dc: Vec<f64> = {
             let m = self
                 .cache()
@@ -1345,7 +1359,7 @@ impl NewtonEngine {
         // progress, so the ramp crawls while the hard region is being
         // crossed and accelerates once the iterate closes in on the
         // solution. A failed stage restores its anchor and stiffens.
-        self.assemble_into(circuit, x, mode, gmin, None);
+        self.assemble_into(circuit, x, mode, gmin, None, true);
         let mut fprev = inf_norm(&self.residual);
         // See-saw bound: failed stages that never improve on the best
         // true residual seen are counted; past PTC_MAX_STIFFENS the
@@ -1369,7 +1383,7 @@ impl NewtonEngine {
                     // The stage solved the *regularized* system; accept
                     // as soon as the true system meets the same per-row
                     // tolerances plain Newton stops at.
-                    self.assemble_into(circuit, x, mode, gmin, None);
+                    self.assemble_into(circuit, x, mode, gmin, None, true);
                     if self.converged(circuit) {
                         return Ok(total);
                     }
@@ -1452,7 +1466,7 @@ impl NewtonEngine {
             return Ok(());
         }
         let x0 = vec![0.0; n];
-        self.assemble_into(circuit, &x0, &AnalysisMode::Dc, 0.0, None);
+        self.assemble_into(circuit, &x0, &AnalysisMode::Dc, 0.0, None, true);
         let cache = self.caches[self.active].as_mut().expect("assembled above");
         let rank = structural_rank(cache.asm.matrix().expect("assembly finished"));
         if rank.is_full() {
@@ -1914,6 +1928,134 @@ mod tests {
         let total = engine.counters();
         assert_eq!(total.symbolic_factorizations, 1);
         assert!(total.partial_refactorizations > 0);
+    }
+
+    /// The random netlists of `tests/fastspice.rs`: an inverter chain
+    /// driven by a pulse edge, a capacitively loaded resistor ladder off
+    /// its last output, and a current-source disturbance.
+    fn mixed_netlist(stages: usize, rungs: &[f64], vdd: f64, isrc: f64) -> Circuit {
+        use crate::element::{Capacitor, CurrentSource, Waveform};
+        use crate::logic::{add_inverter_chain, CntTechnology};
+        use cntfet_core::CompactCntFet;
+        use cntfet_reference::DeviceParams;
+        use std::sync::OnceLock;
+        static MODEL: OnceLock<Arc<CompactCntFet>> = OnceLock::new();
+        let model = MODEL.get_or_init(|| {
+            Arc::new(CompactCntFet::model2(DeviceParams::paper_default()).expect("model 2 fit"))
+        });
+        let tech = CntTechnology::symmetric(Arc::clone(model), vdd);
+        let mut c = Circuit::new();
+        let vdd_node = c.node("vdd");
+        let vin = c.node("in");
+        c.add(VoltageSource::dc("VDD", vdd_node, Circuit::ground(), vdd));
+        c.add(VoltageSource::with_waveform(
+            "VIN",
+            vin,
+            Circuit::ground(),
+            Waveform::Pulse {
+                low: 0.05 * vdd,
+                high: 0.95 * vdd,
+                delay: 0.0,
+                rise: 20e-12,
+                width: 1.0,
+                fall: 20e-12,
+                period: 0.0,
+            },
+        ));
+        let outs = add_inverter_chain(&mut c, &tech, "chain", vin, stages, vdd_node);
+        let mut prev = *outs.last().expect("stages > 0");
+        for (i, &r) in rungs.iter().enumerate() {
+            let nxt = c.node(&format!("lad{i}"));
+            c.add(Resistor::new(&format!("Rl{i}"), prev, nxt, r));
+            c.add(Capacitor::new(
+                &format!("Cl{i}"),
+                nxt,
+                Circuit::ground(),
+                1e-15,
+            ));
+            prev = nxt;
+        }
+        c.add(Resistor::new("Rend", prev, Circuit::ground(), 1e5));
+        c.add(CurrentSource::dc("I1", Circuit::ground(), prev, isrc));
+        c
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The residual-only assembly behind every Armijo trial after
+        /// the first is the full assembly's `F`, bit for bit, and leaves
+        /// the assembled Jacobian alone — in DC and transient mode, with
+        /// and without gmin, with and without a pseudo-transient term,
+        /// at states along a transient solve and at half-step trial
+        /// points between them.
+        #[test]
+        fn residual_only_assembly_matches_the_full_residual_bitwise(
+            stages in 1usize..4,
+            rungs in proptest::collection::vec(1e3f64..1e5, 2..6),
+            vdd in 0.6f64..0.9,
+            isrc in -1e-6f64..1e-6,
+        ) {
+            use crate::element::TransientStamp;
+            use crate::sim::{Simulator, TransientSpec};
+            let dt = 2e-11;
+            let mut sim = Simulator::new(mixed_netlist(stages, &rungs, vdd, isrc));
+            let run = sim
+                .transient(&TransientSpec::fixed(2e-10, dt))
+                .expect("transient");
+            let c = sim.circuit();
+            let devices = c.device_count() as u64;
+            let n = c.unknown_count();
+            let mask: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+            let mut engine = NewtonEngine::new(NewtonOptions::default());
+            let states = &run.result.states;
+            for (k, pair) in states.windows(2).enumerate() {
+                let (prev, x) = (&pair[0], &pair[1]);
+                let trial: Vec<f64> =
+                    prev.iter().zip(x).map(|(p, v)| p + 0.5 * (v - p)).collect();
+                let tran = AnalysisMode::Transient(TransientStamp::backward_euler(
+                    (k + 1) as f64 * dt,
+                    dt,
+                    prev,
+                ));
+                let term = PtcTerm {
+                    g: 1e-3,
+                    anchor: prev,
+                    mask: &mask,
+                };
+                for point in [x, &trial] {
+                    for mode in [&AnalysisMode::Dc, &tran] {
+                        for gmin in [0.0, 1e-9] {
+                            for ptc in [None, Some(&term)] {
+                                engine.assemble_into(c, point, mode, gmin, ptc, true);
+                                let full = engine.residual.clone();
+                                let jac = jacobian_values(&engine);
+                                let before = engine.counters();
+                                engine.assemble_into(c, point, mode, gmin, ptc, false);
+                                let d = engine.counters().delta_since(&before);
+                                proptest::prop_assert_eq!(
+                                    (d.residual_evals, d.device_evals),
+                                    (devices, 0)
+                                );
+                                proptest::prop_assert!(
+                                    bitwise_eq(&engine.residual, &full),
+                                    "residual-only F differs from the full F"
+                                );
+                                proptest::prop_assert!(
+                                    bitwise_eq(&jacobian_values(&engine), &jac),
+                                    "residual-only pass wrote the Jacobian"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn jacobian_values(engine: &NewtonEngine) -> Vec<f64> {
+        let m = engine.cache().and_then(|c| c.asm.matrix());
+        m.expect("assembled").values().to_vec()
     }
 
     #[test]

@@ -97,7 +97,14 @@ impl PiecewiseCharge {
     /// Evaluates the slope `dQ/dV` at `v` (F/m — the compact model's
     /// quantum capacitance, up to sign).
     pub fn eval_derivative(&self, v: f64) -> f64 {
-        self.polys[self.region_index(v)].eval_with_derivative(v).1
+        self.eval_with_derivative(v).1
+    }
+
+    /// The charge and its slope at `v` from one region search and one
+    /// Horner pass, bitwise equal to [`PiecewiseCharge::eval`] and
+    /// [`PiecewiseCharge::eval_derivative`].
+    pub fn eval_with_derivative(&self, v: f64) -> (f64, f64) {
+        self.polys[self.region_index(v)].eval_with_derivative(v)
     }
 
     /// Largest polynomial degree across regions.
@@ -174,6 +181,26 @@ mod tests {
         let pw = two_region();
         assert_eq!(pw.eval_derivative(-1.0), -1.0);
         assert_eq!(pw.eval_derivative(1.0), 0.0);
+    }
+
+    #[test]
+    fn fused_value_and_slope_equal_the_separate_calls_bitwise() {
+        // A fitted curve: breakpoints that are not round numbers and
+        // cubic regions, so the Horner passes round non-trivially.
+        let fitted = crate::CompactCntFet::model2(cntfet_reference::DeviceParams::paper_default())
+            .expect("model 2 fit");
+        for pw in [two_region(), fitted.charge().clone()] {
+            let mut vs = vec![0.0, -0.0, 1e3, -1e3];
+            for &b in pw.breakpoints() {
+                vs.extend([b, b.next_down(), b.next_up()]);
+            }
+            vs.extend((-1000..=1000).map(|k| k as f64 * 1.3e-3));
+            for v in vs {
+                let (q, dq) = pw.eval_with_derivative(v);
+                assert_eq!(q.to_bits(), pw.eval(v).to_bits(), "q({v})");
+                assert_eq!(dq.to_bits(), pw.eval_derivative(v).to_bits(), "dq({v})");
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,10 @@
 //!    L part is a dirty step — the recorded U structure, transposed),
 //!    and replays *only* the dirty steps; every clean step keeps its
 //!    L/U row and pivot from the previous factorisation, so the result
-//!    is bitwise identical to a full replay. The replayed steps run the
+//!    is bitwise identical to a full replay. Marking runs before any
+//!    arithmetic, so when the dirty steps reach the measured crossover
+//!    share the solver runs the cheaper full replay instead — the same
+//!    factors either way. The replayed steps run the
 //!    same pivot-collapse self-check as invariant 3, and a collapse
 //!    aborts to a full re-pivot exactly as a full replay would. Listing
 //!    *extra* (unchanged) slots is always safe — it only costs work; a
@@ -1305,6 +1308,15 @@ const PIVOT_THRESHOLD: f64 = 1e-3;
 /// triggers a fresh pivoting factorisation.
 const REPIVOT_RATIO: f64 = 1e-12;
 
+/// Share of elimination steps at or above which a partial
+/// refactorisation runs the full replay instead of replaying only the
+/// dirty steps. Measured on the 3 004-unknown ring-array and inverter-
+/// array Jacobians: a full replay costs about 57 ns per step and a
+/// partial one about 80 ns per replayed step (it resets each dirty row
+/// on its own and walks the scattered step set), so the partial path
+/// stops paying off at 57 / 80 ≈ 0.7 of the steps.
+const PARTIAL_REPLAY_MAX_SHARE: f64 = 0.7;
+
 impl<T: LuScalar> SparseLu<T> {
     /// Creates an empty solver.
     pub fn new() -> Self {
@@ -1419,8 +1431,11 @@ impl<T: LuScalar> SparseLu<T> {
     /// invariant 4): every pattern slot *not* in `changed_slots` must be
     /// bitwise identical to the previous successful factorisation of
     /// this pattern. Only the elimination steps reachable from the
-    /// changed slots through the frozen elimination DAG are replayed;
-    /// the result is bitwise identical to a full [`SparseLu::factor`].
+    /// changed slots through the frozen elimination DAG are replayed —
+    /// or every step, by the full replay, when those are 70% of the
+    /// steps or more (the measured crossover of the two replays); the
+    /// result is bitwise identical to a full [`SparseLu::factor`]
+    /// either way.
     /// When no plan for this pattern is frozen — or a replayed pivot
     /// collapses — the call transparently runs the full pivoting
     /// factorisation, exactly like `factor`.
@@ -1752,42 +1767,7 @@ impl<T: LuScalar> SparseLu<T> {
         }
         let mut ops: u64 = 0;
         for k in 0..n {
-            let r = s.perm[k];
-            let lo = s.f_row_ptr[r];
-            let hi = s.f_row_ptr[r + 1];
-            // Scatter the row into the dense workspace.
-            for i in lo..hi {
-                self.work[s.f_col_idx[i]] = self.f_values[i];
-            }
-            // Eliminate the L part in ascending column (= step) order.
-            for i in lo..s.u_start[r] {
-                let c = s.f_col_idx[i];
-                let m = self.work[c] / self.diag[c];
-                self.work[c] = m;
-                ops += 1;
-                let pr = s.perm[c];
-                let ud = s.diag_slot[c];
-                let pend = s.f_row_ptr[pr + 1];
-                for ui in (ud + 1)..pend {
-                    self.work[s.f_col_idx[ui]] -= m * self.f_values[ui];
-                }
-                ops += (pend - ud - 1) as u64;
-            }
-            let pivot = self.work[k];
-            let mut umax = 0.0f64;
-            for i in s.u_start[r]..hi {
-                umax = umax.max(self.work[s.f_col_idx[i]].modulus());
-            }
-            // Gather back and clear the workspace.
-            for i in lo..hi {
-                let c = s.f_col_idx[i];
-                self.f_values[i] = self.work[c];
-                self.work[c] = T::ZERO;
-            }
-            if !pivot.is_finite() || pivot.modulus() < REPIVOT_RATIO * umax || pivot == T::ZERO {
-                return Err(NumericsError::SingularMatrix { pivot: k });
-            }
-            self.diag[k] = pivot;
+            ops += Self::replay_step(s, &mut self.f_values, &mut self.work, &mut self.diag, k)?;
         }
         self.ops = ops;
         self.refactors += 1;
@@ -1796,15 +1776,69 @@ impl<T: LuScalar> SparseLu<T> {
         Ok(())
     }
 
-    /// Replays only the elimination steps affected by `changed_slots`
-    /// (module invariant 4): the step of each changed slot's row is
-    /// marked dirty, and dirtiness propagates to every step whose L part
-    /// reads a dirty step's U row. Because a step's dependents always
-    /// have larger step indices, a single ascending scan over the dirty
-    /// flags settles the affected set; clean steps keep their L/U rows
-    /// and pivots bitwise, so the result equals a full replay bitwise.
-    /// Returns `Err(SingularMatrix)` when a replayed pivot collapses —
-    /// the caller falls back to a fresh pivoting factorisation.
+    /// Eliminates step `k` over its factor row, which holds the row's A
+    /// values, against the already-eliminated U rows of earlier steps,
+    /// and stores the row's L/U values and pivot. Returns the step's
+    /// operation count, or `Err(SingularMatrix)` when the pivot
+    /// collapses (module invariant 3).
+    fn replay_step(
+        s: &Symbolic,
+        f_values: &mut [T],
+        work: &mut [T],
+        diag: &mut [T],
+        k: usize,
+    ) -> Result<u64, NumericsError> {
+        let r = s.perm[k];
+        let lo = s.f_row_ptr[r];
+        let hi = s.f_row_ptr[r + 1];
+        // Scatter the row into the dense workspace.
+        for (&c, &v) in s.f_col_idx[lo..hi].iter().zip(&f_values[lo..hi]) {
+            work[c] = v;
+        }
+        // Eliminate the L part in ascending column (= step) order.
+        let mut ops: u64 = 0;
+        for i in lo..s.u_start[r] {
+            let c = s.f_col_idx[i];
+            let m = work[c] / diag[c];
+            work[c] = m;
+            ops += 1;
+            let pr = s.perm[c];
+            let ud = s.diag_slot[c];
+            let pend = s.f_row_ptr[pr + 1];
+            for ui in (ud + 1)..pend {
+                work[s.f_col_idx[ui]] -= m * f_values[ui];
+            }
+            ops += (pend - ud - 1) as u64;
+        }
+        let pivot = work[k];
+        let mut umax = 0.0f64;
+        for i in s.u_start[r]..hi {
+            umax = umax.max(work[s.f_col_idx[i]].modulus());
+        }
+        // Gather back and clear the workspace.
+        for (&c, v) in s.f_col_idx[lo..hi].iter().zip(&mut f_values[lo..hi]) {
+            *v = work[c];
+            work[c] = T::ZERO;
+        }
+        if !pivot.is_finite() || pivot.modulus() < REPIVOT_RATIO * umax || pivot == T::ZERO {
+            return Err(NumericsError::SingularMatrix { pivot: k });
+        }
+        diag[k] = pivot;
+        Ok(ops)
+    }
+
+    /// Refactors under module invariant 4. First, with no arithmetic,
+    /// the step of each changed slot's row is marked dirty and
+    /// dirtiness propagates to every step whose L part reads a dirty
+    /// step's U row. Because a step's dependents always have larger
+    /// step indices, one ascending scan settles the set. Then, when the
+    /// dirty steps are fewer than [`PARTIAL_REPLAY_MAX_SHARE`] of all
+    /// steps, only they are replayed — clean steps keep their L/U rows
+    /// and pivots bitwise — and otherwise the cheaper full
+    /// [`SparseLu::refactor`] runs. Both paths give the same factors
+    /// bit for bit. Returns `Err(SingularMatrix)` when a replayed pivot
+    /// collapses — the caller falls back to a fresh pivoting
+    /// factorisation.
     fn refactor_partial(&mut self, values: &[T], changed: &[usize]) -> Result<(), NumericsError> {
         let s = self
             .symbolic
@@ -1814,82 +1848,48 @@ impl<T: LuScalar> SparseLu<T> {
         let mut first = n;
         for &slot in changed {
             let k = s.row_step[s.slot_row[slot]];
-            if !self.step_flag[k] {
-                self.step_flag[k] = true;
-                if k < first {
-                    first = k;
+            self.step_flag[k] = true;
+            first = first.min(k);
+        }
+        let mut dirty = 0usize;
+        for k in first..n {
+            if self.step_flag[k] {
+                dirty += 1;
+                for &d in &s.dep_steps[s.dep_ptr[k]..s.dep_ptr[k + 1]] {
+                    self.step_flag[d] = true;
                 }
             }
         }
+        if dirty as f64 >= PARTIAL_REPLAY_MAX_SHARE * n as f64 {
+            self.step_flag[first..].iter_mut().for_each(|f| *f = false);
+            return self.refactor(values);
+        }
         let mut ops: u64 = 0;
-        let mut replayed: u64 = 0;
-        let mut collapsed: Option<usize> = None;
         for k in first..n {
             if !self.step_flag[k] {
                 continue;
             }
             self.step_flag[k] = false;
-            if collapsed.is_some() {
-                // Only draining the remaining flags after an abort.
-                continue;
-            }
-            let r = s.perm[k];
-            let lo = s.f_row_ptr[r];
-            let hi = s.f_row_ptr[r + 1];
             // Reset this row to its A values; clean rows keep their
             // already-eliminated factors untouched.
-            for i in lo..hi {
-                self.f_values[i] = T::ZERO;
+            let r = s.perm[k];
+            for v in &mut self.f_values[s.f_row_ptr[r]..s.f_row_ptr[r + 1]] {
+                *v = T::ZERO;
             }
             for slot in s.pattern.row_range(r) {
                 self.f_values[s.a_to_f[slot]] += values[slot];
             }
-            // From here the arithmetic is identical to `refactor`.
-            for i in lo..hi {
-                self.work[s.f_col_idx[i]] = self.f_values[i];
-            }
-            for i in lo..s.u_start[r] {
-                let c = s.f_col_idx[i];
-                let m = self.work[c] / self.diag[c];
-                self.work[c] = m;
-                ops += 1;
-                let pr = s.perm[c];
-                let ud = s.diag_slot[c];
-                let pend = s.f_row_ptr[pr + 1];
-                for ui in (ud + 1)..pend {
-                    self.work[s.f_col_idx[ui]] -= m * self.f_values[ui];
+            match Self::replay_step(s, &mut self.f_values, &mut self.work, &mut self.diag, k) {
+                Ok(step_ops) => ops += step_ops,
+                Err(e) => {
+                    self.step_flag[k..].iter_mut().for_each(|f| *f = false);
+                    return Err(e);
                 }
-                ops += (pend - ud - 1) as u64;
             }
-            let pivot = self.work[k];
-            let mut umax = 0.0f64;
-            for i in s.u_start[r]..hi {
-                umax = umax.max(self.work[s.f_col_idx[i]].modulus());
-            }
-            for i in lo..hi {
-                let c = s.f_col_idx[i];
-                self.f_values[i] = self.work[c];
-                self.work[c] = T::ZERO;
-            }
-            if !pivot.is_finite() || pivot.modulus() < REPIVOT_RATIO * umax || pivot == T::ZERO {
-                collapsed = Some(k);
-                continue;
-            }
-            self.diag[k] = pivot;
-            replayed += 1;
-            // This step's U row and pivot changed: every step reading
-            // them must replay too. Dependents are strictly later
-            // steps, so this scan still visits them.
-            for &d in &s.dep_steps[s.dep_ptr[k]..s.dep_ptr[k + 1]] {
-                self.step_flag[d] = true;
-            }
-        }
-        if let Some(k) = collapsed {
-            return Err(NumericsError::SingularMatrix { pivot: k });
         }
         self.ops = ops;
         self.partial_refactors += 1;
-        self.columns_recomputed += replayed;
+        self.columns_recomputed += dirty as u64;
         self.columns_total += n as u64;
         Ok(())
     }
@@ -2542,6 +2542,41 @@ mod tests {
     }
 
     #[test]
+    fn partial_refactor_picks_the_cheaper_replay() {
+        let n = 24;
+        let a = ladder(n);
+        let diag: Vec<usize> = (0..n).map(|i| a.pattern().slot(i, i).unwrap()).collect();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
+        for changed in [&diag[n - 1..], &diag[..]] {
+            let mut lu = SparseLu::<f64>::new();
+            lu.factor(a.pattern(), a.values()).expect("first factor");
+            let mut vals = a.values().to_vec();
+            for &s in changed {
+                vals[s] += 0.5;
+            }
+            let before = lu.factor_path_stats();
+            lu.factor_partial(a.pattern(), &vals, changed)
+                .expect("partial call");
+            let d = lu.factor_path_stats().delta_since(&before);
+            let x = lu.solve_factored(&b).expect("solve");
+            if changed.len() == 1 {
+                // The last row's step dirties a short suffix only.
+                assert_eq!(d.partial_refactorizations, 1, "{d:?}");
+                assert!((d.columns_recomputed as f64) < PARTIAL_REPLAY_MAX_SHARE * n as f64);
+            } else {
+                // Every step is dirty: the full replay runs instead.
+                assert_eq!(d.replay_refactorizations, 1, "{d:?}");
+                assert_eq!(d.columns_recomputed, n as u64);
+            }
+            lu.factor(a.pattern(), &vals).expect("full replay");
+            let x_full = lu.solve_factored(&b).expect("solve after full");
+            for (p, f) in x.iter().zip(&x_full) {
+                assert_eq!(p.to_bits(), f.to_bits(), "{p} vs {f}");
+            }
+        }
+    }
+
+    #[test]
     fn partial_refactor_with_no_changes_is_a_noop() {
         let a = ladder(12);
         let mut lu = SparseLu::<f64>::new();
@@ -2753,36 +2788,45 @@ mod tests {
 
     #[test]
     fn complex_partial_refactor_matches_full() {
-        // The AC use case: conductances fixed, only the jω slots churn.
+        // The AC use case: conductances fixed, only the jω slots churn —
+        // on every row (each frequency dirties every step, so the full
+        // replay runs) or on the last two rows (the partial path runs).
         let n = 16;
         let a = ladder(n);
         let pattern = Arc::clone(a.pattern());
         let g: Vec<f64> = a.values().to_vec();
-        let dyn_slots: Vec<usize> = (0..n).map(|i| pattern.slot(i, i).unwrap()).collect();
-        let make = |omega: f64| -> Vec<Complex> {
-            let mut v: Vec<Complex> = g.iter().map(|&gr| Complex::from(gr)).collect();
-            for &s in &dyn_slots {
-                v[s] += Complex::new(0.0, 1e-3 * omega);
+        let diag: Vec<usize> = (0..n).map(|i| pattern.slot(i, i).unwrap()).collect();
+        for dyn_slots in [&diag[..], &diag[n - 2..]] {
+            let make = |omega: f64| -> Vec<Complex> {
+                let mut v: Vec<Complex> = g.iter().map(|&gr| Complex::from(gr)).collect();
+                for &s in dyn_slots {
+                    v[s] += Complex::new(0.0, 1e-3 * omega);
+                }
+                v
+            };
+            let mut lu = SparseLu::<Complex>::new();
+            let mut full = SparseLu::<Complex>::new();
+            lu.factor(&pattern, &make(1.0)).expect("first factor");
+            full.factor(&pattern, &make(1.0)).expect("first factor");
+            let b = vec![Complex::ONE; n];
+            for omega in [10.0, 100.0, 1000.0] {
+                let vals = make(omega);
+                lu.factor_partial(&pattern, &vals, dyn_slots)
+                    .expect("partial");
+                full.factor(&pattern, &vals).expect("full");
+                let xp = lu.solve_factored(&b).expect("solve");
+                let xf = full.solve_factored(&b).expect("solve");
+                for (p, f) in xp.iter().zip(&xf) {
+                    assert_eq!(p.re.to_bits(), f.re.to_bits());
+                    assert_eq!(p.im.to_bits(), f.im.to_bits());
+                }
             }
-            v
-        };
-        let mut lu = SparseLu::<Complex>::new();
-        let mut full = SparseLu::<Complex>::new();
-        lu.factor(&pattern, &make(1.0)).expect("first factor");
-        full.factor(&pattern, &make(1.0)).expect("first factor");
-        let b = vec![Complex::ONE; n];
-        for omega in [10.0, 100.0, 1000.0] {
-            let vals = make(omega);
-            lu.factor_partial(&pattern, &vals, &dyn_slots)
-                .expect("partial");
-            full.factor(&pattern, &vals).expect("full");
-            let xp = lu.solve_factored(&b).expect("solve");
-            let xf = full.solve_factored(&b).expect("solve");
-            for (p, f) in xp.iter().zip(&xf) {
-                assert_eq!(p.re.to_bits(), f.re.to_bits());
-                assert_eq!(p.im.to_bits(), f.im.to_bits());
+            let paths = (lu.refactor_count(), lu.partial_refactor_count());
+            if dyn_slots.len() == n {
+                assert_eq!(paths, (3, 0));
+            } else {
+                assert_eq!(paths, (0, 3));
             }
         }
-        assert_eq!(lu.partial_refactor_count(), 3);
     }
 }

@@ -9,6 +9,7 @@
 //! a silent accuracy drift.
 
 use cntfet::circuit::deck::{Deck, LintOptions};
+use cntfet::circuit::engine::EngineCounters;
 use std::path::{Path, PathBuf};
 
 const MARKER: &str = "* torture: expected-convergent";
@@ -77,5 +78,49 @@ fn torture_decks_converge() {
                 report.label
             );
         }
+    }
+}
+
+/// Every deck's Newton-ladder counters, pinned: a change to the
+/// iteration sequence (a new rung, a different line search, another
+/// limiter) fails here by name instead of only moving goldens. And the
+/// residual-only line search evaluates every device exactly once per
+/// backtracked Armijo trial, never on the first trial.
+#[test]
+fn torture_decks_keep_their_iteration_counters() {
+    // (deck, factorizations, armijo_backtracks, limiter_clamps, ptc_steps)
+    const PINNED: [(&str, u64, u64, u64, u64); 3] = [
+        ("nand_stack.cir", 21_070, 64_188, 16_073, 367),
+        ("nor_stack.cir", 21_499, 58_332, 16_075, 374),
+        ("xgate_chain.cir", 164, 75, 0, 0),
+    ];
+    let decks = torture_decks();
+    assert_eq!(decks.len(), PINNED.len(), "pin every torture deck");
+    for ((path, text), (name, factorizations, backtracks, clamps, ptc)) in decks.iter().zip(PINNED)
+    {
+        assert!(path.ends_with(name), "{} vs {name}", path.display());
+        let deck = Deck::parse(text).unwrap_or_else(|e| panic!("{name}:\n{e}"));
+        let devices = deck.circuit().expect("deck lowers").device_count() as u64;
+        let run = deck.run().unwrap_or_else(|e| panic!("{name}:\n{e}"));
+        let mut s = EngineCounters::default();
+        for report in &run.reports {
+            s += report.stats;
+        }
+        assert_eq!(
+            (
+                s.factorizations,
+                s.armijo_backtracks,
+                s.limiter_clamps,
+                s.ptc_steps
+            ),
+            (factorizations, backtracks, clamps, ptc),
+            "{name}: (factorizations, armijo_backtracks, limiter_clamps, ptc_steps)"
+        );
+        assert_eq!(
+            s.residual_evals,
+            s.armijo_backtracks * devices,
+            "{name}: one residual-only evaluation per device per backtrack"
+        );
+        assert_eq!(s.device_bypasses, 0, "{name}: bypass is off");
     }
 }
