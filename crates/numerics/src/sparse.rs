@@ -1311,7 +1311,8 @@ const REPIVOT_RATIO: f64 = 1e-12;
 /// Share of elimination steps at or above which a partial
 /// refactorisation runs the full replay instead of replaying only the
 /// dirty steps. Measured on the 3 004-unknown ring-array and inverter-
-/// array Jacobians: a full replay costs about 57 ns per step and a
+/// array Jacobians (release build, 2-core x86-64 host) inside their
+/// transient runs: a full replay costs about 57 ns per step and a
 /// partial one about 80 ns per replayed step (it resets each dirty row
 /// on its own and walks the scattered step set), so the partial path
 /// stops paying off at 57 / 80 ≈ 0.7 of the steps.
