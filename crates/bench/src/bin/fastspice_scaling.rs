@@ -22,7 +22,8 @@
 //!   pre-fast-SPICE path);
 //! * **B — partial** (the default config): partial refactorization on,
 //!   bypass off. Must match A **bitwise**;
-//! * **C — partial + bypass**: both on, `bypass_vtol = 1e-6`. A
+//! * **C — partial + bypass**: both on, at the engine's
+//!   `BYPASS_VTOL` (1e-6 V). A
 //!   bypassed device re-stamps cached Jacobian entries **bitwise**, so
 //!   once a gate's terminals settle within vtol its columns drop out of
 //!   the partial-refactorization frontier entirely; the per-stamp
@@ -109,7 +110,6 @@ fn run_config(circuit: Circuit, cfg: &Config, t_stop: f64, dt: f64) -> Run {
         limiting: false,
         partial_refactor: cfg.partial,
         bypass: cfg.bypass,
-        bypass_vtol: 1e-6,
         ..NewtonOptions::transient()
     };
     let spec = TransientSpec::fixed(t_stop, dt).with_options(TransientOptions {

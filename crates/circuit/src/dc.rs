@@ -1,6 +1,6 @@
 //! The DC operating-point result type.
 //!
-//! The damped-Newton iteration with its gmin ramp lives in
+//! The damped-Newton iteration with its rescue ladder lives in
 //! [`crate::engine`]; solve operating points through
 //! [`crate::sim::Simulator::op`], which shares solver caches and warm
 //! starts across analyses.
@@ -11,7 +11,7 @@ pub struct Solution {
     /// Unknown vector: node voltages (order of node creation) followed by
     /// element extra variables.
     pub x: Vec<f64>,
-    /// Newton iterations used (summed over gmin steps).
+    /// Newton iterations used (summed over rescue stages).
     pub iterations: usize,
 }
 
@@ -78,9 +78,9 @@ mod tests {
 
     #[test]
     fn floating_nodes_resolve_to_ground_via_gmin() {
-        // Plain Newton sees a singular matrix; the gmin ramp gives every
-        // node a leak to ground, so the floating pair settles at 0 V —
-        // the standard SPICE resolution of floating nodes.
+        // Nothing drives the pair, so the all-zero start already meets
+        // every row's tolerance and Newton stops before any
+        // factorisation: the floating pair reads 0 V.
         let mut c = Circuit::new();
         let a = c.node("a");
         let b = c.node("b");
@@ -92,9 +92,8 @@ mod tests {
 
     #[test]
     fn floating_nodes_resolve_with_sparse_solver_too() {
-        // The singular first attempt must leave the sparse solver's
-        // frozen plan usable: a second solve on the same session still
-        // settles the floating pair at 0 V.
+        // A second solve on the same session warm-starts from the first
+        // and still settles the floating pair at 0 V.
         let mut c = Circuit::new();
         let a = c.node("a");
         let b = c.node("b");

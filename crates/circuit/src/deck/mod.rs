@@ -360,24 +360,10 @@ pub enum OptionEntry {
     /// ([`NewtonOptions::bypass`](crate::engine::NewtonOptions::bypass),
     /// default off).
     Bypass(bool),
-    /// `bypassvtol=<v>` — controlling-voltage tolerance of the device
-    /// bypass, volts
-    /// ([`NewtonOptions::bypass_vtol`](crate::engine::NewtonOptions::bypass_vtol),
-    /// default `1e-6`). Validated positive at parse time.
-    BypassVtol(f64),
     /// `limiting=0|1` — per-device voltage limiting of Newton steps
     /// ([`NewtonOptions::limiting`](crate::engine::NewtonOptions::limiting),
     /// default on).
     Limiting(bool),
-    /// `armijo_c1=<c>` — sufficient-decrease constant of the Armijo
-    /// line search
-    /// ([`NewtonOptions::armijo_c1`](crate::engine::NewtonOptions::armijo_c1),
-    /// default `1e-4`). Validated inside `(0, 1)` at parse time.
-    ArmijoC1(f64),
-    /// `ptc=0|1` — pseudo-transient continuation rescue for stalled
-    /// solves ([`NewtonOptions::ptc`](crate::engine::NewtonOptions::ptc),
-    /// default on).
-    Ptc(bool),
 }
 
 impl OptionEntry {
@@ -388,20 +374,16 @@ impl OptionEntry {
             OptionEntry::AbsTol(_) => "abstol",
             OptionEntry::DtMin(_) => "dtmin",
             OptionEntry::Bypass(_) => "bypass",
-            OptionEntry::BypassVtol(_) => "bypassvtol",
             OptionEntry::Limiting(_) => "limiting",
-            OptionEntry::ArmijoC1(_) => "armijo_c1",
-            OptionEntry::Ptc(_) => "ptc",
         }
     }
 
     fn value_text(&self) -> String {
         match self {
             OptionEntry::RelTol(v) | OptionEntry::AbsTol(v) | OptionEntry::DtMin(v) => num(*v),
-            OptionEntry::Bypass(b) | OptionEntry::Limiting(b) | OptionEntry::Ptc(b) => {
+            OptionEntry::Bypass(b) | OptionEntry::Limiting(b) => {
                 String::from(if *b { "1" } else { "0" })
             }
-            OptionEntry::BypassVtol(v) | OptionEntry::ArmijoC1(v) => num(*v),
         }
     }
 }
@@ -753,9 +735,9 @@ impl Deck {
     }
 
     /// The Newton options the deck's `.option` cards select: defaults
-    /// with `bypass`, `bypassvtol`, `limiting`, `armijo_c1` and `ptc`
-    /// entries applied in source order (later entries win). These drive `.op` and `.dc`
-    /// cards directly; `.tran` cards take them through
+    /// with `bypass` and `limiting` entries applied in source order
+    /// (later entries win). These drive `.op` and `.dc` cards
+    /// directly; `.tran` cards take them through
     /// [`Deck::transient_options`].
     pub fn newton_options(&self) -> crate::engine::NewtonOptions {
         let mut newton = crate::engine::NewtonOptions::default();
@@ -789,10 +771,7 @@ impl Deck {
             for entry in &card.entries {
                 match entry {
                     OptionEntry::Bypass(b) => newton.bypass = *b,
-                    OptionEntry::BypassVtol(v) => newton.bypass_vtol = *v,
                     OptionEntry::Limiting(b) => newton.limiting = *b,
-                    OptionEntry::ArmijoC1(c) => newton.armijo_c1 = *c,
-                    OptionEntry::Ptc(b) => newton.ptc = *b,
                     _ => {}
                 }
             }

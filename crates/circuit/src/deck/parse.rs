@@ -1244,32 +1244,9 @@ fn parse_option(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<OptionCard, D
             }
             "dtmin" => OptionEntry::DtMin(cur.next_positive("the minimum step size in seconds")?),
             "bypass" => OptionEntry::Bypass(next_switch(cur, "bypass")?),
-            "bypassvtol" => {
-                OptionEntry::BypassVtol(cur.next_positive("the bypass voltage tolerance in volts")?)
-            }
             "limiting" => OptionEntry::Limiting(next_switch(cur, "limiting")?),
-            "armijo_c1" => {
-                let (c, span) = cur.next_value("the Armijo sufficient-decrease constant")?;
-                if !(c > 0.0 && c < 1.0) {
-                    return Err(cur.at(
-                        span,
-                        format!("armijo_c1 must be strictly between 0 and 1, got {c}"),
-                    ));
-                }
-                OptionEntry::ArmijoC1(c)
-            }
-            "ptc" => OptionEntry::Ptc(next_switch(cur, "ptc")?),
             _ => {
-                let known = [
-                    "reltol",
-                    "abstol",
-                    "dtmin",
-                    "bypass",
-                    "bypassvtol",
-                    "limiting",
-                    "armijo_c1",
-                    "ptc",
-                ];
+                let known = ["reltol", "abstol", "dtmin", "bypass", "limiting"];
                 let mut err = cur.at(
                     key_span,
                     format!(

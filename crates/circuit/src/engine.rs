@@ -40,16 +40,22 @@
 //!
 //! [`NewtonOptions`] is plain data (`Copy`) shared by every analysis:
 //!
-//! * `max_iter` bounds each *individual* Newton solve — per gmin step,
-//!   per transient step attempt, per sweep point — not the whole
+//! * `max_iter` bounds each *individual* Newton solve — per transient
+//!   step attempt, per sweep point, per rescue stage — not the whole
 //!   analysis;
-//! * `node_current_tol` / `extra_row_tol` are *absolute, per-row*
-//!   convergence thresholds. Node rows are KCL sums in amperes; extra
-//!   rows mix source-constraint volts and CNFET charge-balance C/m,
-//!   which is why they get a separate (tighter) threshold;
-//! * `max_step_halvings` bounds the damping line search inside one
-//!   iteration; after the budget the smallest trial step is adopted
-//!   unconditionally so Newton can escape shallow plateaus.
+//! * `partial_refactor`, `bypass` and `limiting` switch the hot-path
+//!   and robustness layers documented on their fields.
+//!
+//! Everything else is a module constant:
+//!
+//! * the *absolute, per-row* convergence thresholds: 1e-12 A for node
+//!   rows (KCL sums) and a tighter 1e-15 for extra rows, which mix
+//!   source-constraint volts and CNFET charge-balance C/m;
+//! * the damping line search: the Armijo rule with `c₁ = 1e-4` and at
+//!   most 12 step halvings, after which the smallest trial step is
+//!   adopted unconditionally so Newton can escape shallow plateaus;
+//! * the device-bypass tolerance [`BYPASS_VTOL`];
+//! * the rescue ladder, which is always armed (except in bypass runs).
 
 use crate::dc::Solution;
 use crate::element::{AnalysisMode, DeviceState, Mna, StampOutcome};
@@ -64,23 +70,36 @@ use std::ops::AddAssign;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// Absolute convergence threshold for node (KCL current) residual
+/// rows, amperes.
+const NODE_CURRENT_TOL: f64 = 1e-12;
+
+/// Absolute convergence threshold for element extra rows (source
+/// constraints in volts, CNFET charge balance in C/m).
+const EXTRA_ROW_TOL: f64 = 1e-15;
+
+/// Maximum step halvings of the damping line search.
+const MAX_STEP_HALVINGS: usize = 12;
+
+/// Sufficient-decrease constant `c₁` of the Armijo condition the
+/// damping line search accepts on: a trial step of length `α·dx` is
+/// accepted when `‖F‖ ≤ ‖F₀‖·(1 − c₁·α)` — the historical halving rule.
+const ARMIJO_C1: f64 = 1e-4;
+
+/// Controlling-voltage tolerance of the device bypass, volts: a device
+/// whose controlling voltages moved less than this since its last true
+/// evaluation is re-stamped from cache (see [`NewtonOptions::bypass`]).
+pub const BYPASS_VTOL: f64 = 1e-6;
+
 /// Tuning knobs of the Newton iteration, shared by DC, transient and
 /// sweep analyses. [`NewtonOptions::default`] keeps the historical
-/// tolerances, damping schedule and iteration budget.
+/// iteration budget with partial refactorization and limiting on and
+/// bypass off.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewtonOptions {
-    /// Iteration budget per Newton solve (per gmin step, per transient
-    /// step). DC default: 80.
+    /// Iteration budget per Newton solve (per transient step, per
+    /// rescue stage). DC default: 80.
     pub max_iter: usize,
-    /// Absolute convergence threshold for node (KCL current) residual
-    /// rows, amperes. Default `1e-12`.
-    pub node_current_tol: f64,
-    /// Absolute convergence threshold for element extra rows (source
-    /// constraints in volts, CNFET charge balance in C/m). Default
-    /// `1e-15`.
-    pub extra_row_tol: f64,
-    /// Maximum step halvings of the damping line search. Default 12.
-    pub max_step_halvings: usize,
     /// Use KLU-style partial refactorization: diff the assembled matrix
     /// values against the previous successful factorization and replay
     /// only the columns reached from changed slots through the frozen
@@ -91,15 +110,14 @@ pub struct NewtonOptions {
     pub partial_refactor: bool,
     /// SPICE3-lineage device bypass: skip re-evaluating a nonlinear
     /// device whose controlling voltages moved less than
-    /// [`NewtonOptions::bypass_vtol`] since its last true evaluation,
-    /// re-stamping its cached (first-order corrected) values instead.
-    /// Changes the floating-point stream, so it is **off by default**;
-    /// the waveform deviation is bounded by the agreement tests at
-    /// O(`bypass_vtol`²) per stamp. Default `false`.
+    /// [`BYPASS_VTOL`] since its last true evaluation, re-stamping its
+    /// cached (first-order corrected) values instead. Changes the
+    /// floating-point stream, so it is **off by default**; the waveform
+    /// deviation is bounded by the agreement tests at O(`BYPASS_VTOL`²)
+    /// per stamp. A bypass run keeps plain damped Newton (no limiting,
+    /// no stall detection, no rescue): its cached stamps depend on the
+    /// iterate history, not on `x` alone. Default `false`.
     pub bypass: bool,
-    /// Controlling-voltage tolerance of the device bypass, volts.
-    /// Only read when [`NewtonOptions::bypass`] is on. Default `1e-6`.
-    pub bypass_vtol: f64,
     /// Per-device voltage limiting ([`crate::element::Element::limit_step`]):
     /// before the line search, every element may propose a step scale
     /// that caps its per-iteration controlling-voltage swing
@@ -110,38 +128,15 @@ pub struct NewtonOptions {
     /// because the generated adders fail to converge without it.
     /// Default `true`.
     pub limiting: bool,
-    /// Sufficient-decrease constant `c₁` of the Armijo condition the
-    /// damping line search accepts on: a trial step of length `α·dx`
-    /// is accepted when `‖F‖ ≤ ‖F₀‖·(1 − c₁·α)`. The historical
-    /// halving loop used exactly this test with `c₁ = 1e-4`, which is
-    /// the default — solves that already converge reproduce their
-    /// float stream bit-for-bit. Must lie in `(0, 1)`. Default `1e-4`.
-    pub armijo_c1: f64,
-    /// Pseudo-transient continuation rescue: when the accepted-iterate
-    /// cycle detector proves the damped iteration is in a limit cycle
-    /// (an iterate recurred bitwise, so the deterministic map can never
-    /// converge), re-solve with a temporary `C/dt`-like diagonal
-    /// regularization `g·(x − x_anchor)` on the weakly-damped unknowns,
-    /// ramped `1e-3 → 0`. Reuses the reserved gmin diagonal slots, so
-    /// no re-pattern occurs. Only ever runs on solves that would
-    /// otherwise fail, keeping already-converging decks bitwise
-    /// untouched. Default `true`.
-    pub ptc: bool,
 }
 
 impl Default for NewtonOptions {
     fn default() -> Self {
         NewtonOptions {
             max_iter: 80,
-            node_current_tol: 1e-12,
-            extra_row_tol: 1e-15,
-            max_step_halvings: 12,
             partial_refactor: true,
             bypass: false,
-            bypass_vtol: 1e-6,
             limiting: true,
-            armijo_c1: 1e-4,
-            ptc: true,
         }
     }
 }
@@ -302,8 +297,8 @@ pub enum NewtonStrategy {
     Limited,
     /// The Armijo line search backtracked at least once.
     Damped,
-    /// The cycle detector proved a limit cycle and pseudo-transient
-    /// continuation ran.
+    /// The plain iteration stalled or exhausted its budget, and the
+    /// rescue (pseudo-transient continuation, then gmin stepping) ran.
     Ptc,
 }
 
@@ -344,12 +339,9 @@ pub struct ConvergenceReport {
     /// name, `i(NAME)` for a source branch current, `internal(NAME)`
     /// for an element's internal unknown).
     pub worst_unknown: String,
-    /// Newton steps scaled down by voltage limiting during this solve.
-    pub limiter_clamps: u64,
-    /// Armijo backtracks taken during this solve.
-    pub armijo_backtracks: u64,
-    /// Converged pseudo-transient continuation stages of this solve.
-    pub ptc_steps: u64,
+    /// The engine counters this solve added (limiter clamps, Armijo
+    /// backtracks and converged rescue stages among them).
+    pub counters: EngineCounters,
 }
 
 impl ConvergenceReport {
@@ -357,13 +349,13 @@ impl ConvergenceReport {
     /// `" → "` — e.g. `"newton → armijo damping → pseudo-transient"`.
     pub fn ladder(&self) -> String {
         let mut rungs = vec![NewtonStrategy::Newton.as_str()];
-        if self.limiter_clamps > 0 {
+        if self.counters.limiter_clamps > 0 {
             rungs.push(NewtonStrategy::Limited.as_str());
         }
-        if self.armijo_backtracks > 0 {
+        if self.counters.armijo_backtracks > 0 {
             rungs.push(NewtonStrategy::Damped.as_str());
         }
-        if self.ptc_steps > 0 || self.strategy == NewtonStrategy::Ptc {
+        if self.counters.ptc_steps > 0 || self.strategy == NewtonStrategy::Ptc {
             rungs.push(NewtonStrategy::Ptc.as_str());
         }
         rungs.join(" → ")
@@ -404,26 +396,13 @@ struct PtcTerm<'a> {
 enum LoopExit {
     /// Converged after this many iterations.
     Converged(usize),
-    /// An accepted iterate recurred bitwise: the deterministic iterate
-    /// map is in a limit cycle and can never converge. Carries the
-    /// iterations spent proving it.
+    /// The stagnation window fired (see `run_newton_loop`) with no
+    /// breakout left: the residual has been flat, and not monotonically
+    /// falling, for [`STALL_WINDOW`] accepted iterates. Carries the
+    /// iterations spent.
     Stalled(usize),
-    /// The iteration budget ran out without convergence or a proven
-    /// cycle.
+    /// The iteration budget ran out without convergence or a stall.
     Exhausted,
-}
-
-/// Minimal per-solve trace kept by the engine so the worst unknown can
-/// be resolved to a name lazily (names cost an O(nodes) scan).
-#[derive(Debug, Clone)]
-struct SolveTrace {
-    strategy: NewtonStrategy,
-    iterations: usize,
-    residual: f64,
-    worst: usize,
-    limiter_clamps: u64,
-    armijo_backtracks: u64,
-    ptc_steps: u64,
 }
 
 /// Hard cap on the per-iteration step infinity norm *inside
@@ -495,21 +474,6 @@ const STALL_RTOL: f64 = 1e-5;
 /// stay bitwise-identical.
 const NEWTON_BREAKOUTS: usize = 3;
 
-/// FNV-1a over the raw bit patterns — a cheap fingerprint for the
-/// bitwise iterate-cycle detector.
-fn bits_hash(v: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &x in v {
-        h ^= x.to_bits();
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
-}
-
 /// The reusable damped-Newton core.
 ///
 /// Create one engine per solve context (a [`crate::sim::Simulator`]
@@ -533,10 +497,10 @@ pub struct NewtonEngine {
     /// Engine-lifetime counters; factorization-path stats are added as
     /// deltas from each cache's solver so they survive cache rebuilds.
     counters: EngineCounters,
-    /// Trace of the most recent [`NewtonEngine::newton`] solve, kept so
-    /// [`NewtonEngine::last_report`] can resolve the worst unknown to a
-    /// name lazily.
-    last_trace: Option<SolveTrace>,
+    /// Report of the most recent [`NewtonEngine::newton`] solve (its
+    /// `worst_unknown` left empty) and the worst unknown's index, which
+    /// [`NewtonEngine::last_report`] resolves to a name lazily.
+    last_solve: Option<(ConvergenceReport, usize)>,
     /// Cooperative cancellation flag, polled once per Newton iteration.
     cancel: Option<Arc<AtomicBool>>,
 }
@@ -551,7 +515,7 @@ impl NewtonEngine {
             residual: Vec::new(),
             pattern_builds: 0,
             counters: EngineCounters::default(),
-            last_trace: None,
+            last_solve: None,
             cancel: None,
         }
     }
@@ -679,21 +643,15 @@ impl NewtonEngine {
     /// name here — lazily, off the hot path — against the given
     /// circuit, which must be the one the solve ran on.
     pub fn last_report(&self, circuit: &Circuit) -> Option<ConvergenceReport> {
-        let t = self.last_trace.as_ref()?;
-        let worst_unknown = if t.worst < circuit.unknown_count() {
-            let bases = circuit.extra_var_bases();
-            unknown_name(circuit, &bases, t.worst)
+        let (report, worst) = self.last_solve.as_ref()?;
+        let worst_unknown = if *worst < circuit.unknown_count() {
+            unknown_name(circuit, &circuit.extra_var_bases(), *worst)
         } else {
-            format!("unknown #{}", t.worst)
+            format!("unknown #{worst}")
         };
         Some(ConvergenceReport {
-            strategy: t.strategy,
-            iterations: t.iterations,
-            residual: t.residual,
             worst_unknown,
-            limiter_clamps: t.limiter_clamps,
-            armijo_backtracks: t.armijo_backtracks,
-            ptc_steps: t.ptc_steps,
+            ..report.clone()
         })
     }
 
@@ -705,15 +663,11 @@ impl NewtonEngine {
             c.circuit_id == circuit.id() && c.revision == revision && c.unknowns == unknowns
         });
         if fresh {
-            let mut asm = PatternAssembler::new(unknowns, unknowns);
-            // Record the per-add slot sequence during the pattern build
-            // so every later re-stamp replays direct slot writes.
-            asm.set_track_writes(true);
             self.caches[self.active] = Some(Cache {
                 circuit_id: circuit.id(),
                 revision,
                 unknowns,
-                asm,
+                asm: PatternAssembler::new(unknowns, unknowns),
                 solver: SparseLuSolver::new(),
                 bases: circuit.extra_var_bases(),
                 struct_ok: false,
@@ -759,11 +713,7 @@ impl NewtonEngine {
         }
         // A negative tolerance disables the bypass while keeping each
         // device's evaluation cache warm (and its eval counted).
-        let vtol = if self.opts.bypass {
-            self.opts.bypass_vtol
-        } else {
-            -1.0
-        };
+        let vtol = if self.opts.bypass { BYPASS_VTOL } else { -1.0 };
         let mut mna = Mna::new(&mut self.residual, jacobian.then_some(&mut cache.asm));
         let elements = circuit.elements().iter().zip(&cache.bases);
         for ((e, &base), state) in elements.zip(&mut cache.states) {
@@ -827,9 +777,9 @@ impl NewtonEngine {
         let n_nodes = circuit.node_count();
         self.residual.iter().enumerate().all(|(i, v)| {
             let tol = if i < n_nodes {
-                self.opts.node_current_tol
+                NODE_CURRENT_TOL
             } else {
-                self.opts.extra_row_tol
+                EXTRA_ROW_TOL
             };
             v.abs() < tol
         })
@@ -849,22 +799,18 @@ impl NewtonEngine {
     /// no damping step satisfies the Armijo condition the smallest step
     /// is adopted as-is (Newton may still escape a shallow plateau).
     ///
-    /// With `detect_cycles` on, two stall triggers exit
-    /// [`LoopExit::Stalled`] rather than burning the rest of the
-    /// budget:
+    /// Stall detection runs in rescue stages and in plain solves without
+    /// bypass: **non-monotone stagnation** — [`STALL_WINDOW`]
+    /// consecutive accepted iterates whose residual norm changes by
+    /// less than [`STALL_RTOL`] relatively, at least one of them an
+    /// *increase* — exits [`LoopExit::Stalled`] rather than burning the
+    /// rest of the budget. This catches the practical limit cycle that
+    /// oscillates between two points with a slow last-bit drift; the
+    /// increase requirement keeps a slowly *converging* crawl (monotone
+    /// decrease) from ever tripping it.
     ///
-    /// * **bitwise recurrence** of an accepted iterate — a *proof* of a
-    ///   limit cycle, since assembly depends only on `x` (bypass off)
-    ///   and the partial refactorization is bitwise-exact, so the
-    ///   iterate map is deterministic;
-    /// * **non-monotone stagnation** — [`STALL_WINDOW`] consecutive
-    ///   accepted iterates whose residual norm changes by less than
-    ///   [`STALL_RTOL`] relatively, at least one of them an *increase*.
-    ///   This catches the practical limit cycle that oscillates between
-    ///   two points with a slow last-bit drift (so it never recurs
-    ///   bitwise); the increase requirement keeps a slowly *converging*
-    ///   crawl (monotone decrease) from ever tripping it.
-    #[allow(clippy::too_many_arguments)]
+    /// A `rescue` stage also caps each step at [`PTC_STEP_CAP`] and may
+    /// spend [`NEWTON_BREAKOUTS`] before a stall ends it.
     fn run_newton_loop(
         &mut self,
         circuit: &Circuit,
@@ -872,8 +818,7 @@ impl NewtonEngine {
         mode: &AnalysisMode,
         gmin: f64,
         ptc: Option<&PtcTerm<'_>>,
-        detect_cycles: bool,
-        rescue_cap: bool,
+        rescue: bool,
     ) -> Result<LoopExit, CircuitError> {
         let n = x.len();
         self.assemble_into(circuit, x, mode, gmin, ptc, true);
@@ -881,30 +826,22 @@ impl NewtonEngine {
         let mut neg_f = vec![0.0; n];
         let mut trial = vec![0.0; n];
         let max_iter = self.opts.max_iter;
-        let max_halvings = self.opts.max_step_halvings;
-        let c1 = self.opts.armijo_c1;
-        // Like the stall detector, voltage limiting assumes stamps are a
+        // Bypass runs keep the seed's plain Newton + Armijo behavior: no
+        // stall detection (a plain bypass solve has no rescue to hand
+        // over to) and no voltage limiting, which assumes stamps are a
         // pure function of `x`. The bypass layer's history-dependent
         // stamps break that: a limited step changes which devices get
         // bypassed on later iterates, and the first-order-corrected
         // cached stamps can then disagree with the limiter's trajectory
-        // enough to stall the solve. Bypass runs keep the seed's plain
-        // Newton + Armijo behavior instead.
+        // enough to stall the solve.
+        let detect_stalls = rescue || !self.opts.bypass;
         let limiting = self.opts.limiting && !self.opts.bypass;
-        let mut visited: Vec<(u64, Vec<f64>)> = Vec::new();
-        if detect_cycles {
-            visited.push((bits_hash(x), x.to_vec()));
-        }
         let mut stagnant = 0usize;
         let mut saw_increase = false;
         let mut prev_fnorm = fnorm;
         // Rescue stages may escape a residual ridge a few times before
         // the stall detector ends the stage (see [`NEWTON_BREAKOUTS`]).
-        let mut breakouts = if detect_cycles && rescue_cap {
-            NEWTON_BREAKOUTS
-        } else {
-            0
-        };
+        let mut breakouts = if rescue { NEWTON_BREAKOUTS } else { 0 };
         let mut force_full = false;
         // Set when the accepted trial was assembled residual-only.
         let mut jacobian_stale = false;
@@ -990,7 +927,7 @@ impl NewtonEngine {
             // near-degenerate subthreshold rows proposing volts-sized
             // moves) both yield to a bounded walk toward the balance
             // point instead of a bounce across it.
-            if rescue_cap {
+            if rescue {
                 let mx = inf_norm(&dx);
                 if mx > PTC_STEP_CAP {
                     let s = PTC_STEP_CAP / mx;
@@ -1004,7 +941,7 @@ impl NewtonEngine {
             // final (smallest) trial unconditionally.
             let mut alpha = 1.0;
             let unconditional = std::mem::take(&mut force_full);
-            for h in 0..=max_halvings {
+            for h in 0..=MAX_STEP_HALVINGS {
                 for ((t, &xi), &di) in trial.iter_mut().zip(x.iter()).zip(&dx) {
                     *t = xi + alpha * di;
                 }
@@ -1012,8 +949,8 @@ impl NewtonEngine {
                 self.assemble_into(circuit, &trial, mode, gmin, ptc, full);
                 let tnorm = inf_norm(&self.residual);
                 let improved =
-                    unconditional || tnorm <= fnorm * (1.0 - c1 * alpha) || tnorm < 1e-18;
-                if improved || h == max_halvings {
+                    unconditional || tnorm <= fnorm * (1.0 - ARMIJO_C1 * alpha) || tnorm < 1e-18;
+                if improved || h == MAX_STEP_HALVINGS {
                     x.copy_from_slice(&trial);
                     fnorm = tnorm;
                     jacobian_stale = !full;
@@ -1022,22 +959,15 @@ impl NewtonEngine {
                 alpha *= 0.5;
                 self.counters.armijo_backtracks += 1;
             }
-            if detect_cycles {
-                let h = bits_hash(x);
-                let recurred = visited.iter().any(|(vh, vx)| *vh == h && bitwise_eq(vx, x));
-                let mut stalled = recurred;
-                if !recurred {
-                    visited.push((h, x.to_vec()));
-                    if (fnorm - prev_fnorm).abs() <= STALL_RTOL * prev_fnorm {
-                        stagnant += 1;
-                        if fnorm > prev_fnorm {
-                            saw_increase = true;
-                        }
-                        stalled = stagnant >= STALL_WINDOW && saw_increase;
-                    } else {
-                        stagnant = 0;
-                        saw_increase = false;
-                    }
+            if detect_stalls {
+                let mut stalled = false;
+                if (fnorm - prev_fnorm).abs() <= STALL_RTOL * prev_fnorm {
+                    stagnant += 1;
+                    saw_increase |= fnorm > prev_fnorm;
+                    stalled = stagnant >= STALL_WINDOW && saw_increase;
+                } else {
+                    stagnant = 0;
+                    saw_increase = false;
                 }
                 prev_fnorm = fnorm;
                 if stalled {
@@ -1050,7 +980,6 @@ impl NewtonEngine {
                     // detector for the new trajectory.
                     breakouts -= 1;
                     force_full = true;
-                    visited.clear();
                     stagnant = 0;
                     saw_increase = false;
                 }
@@ -1064,11 +993,12 @@ impl NewtonEngine {
 
     /// Runs one Newton solve from `x0` at the given analysis mode and
     /// gmin, climbing the robustness ladder as needed: full Newton
-    /// steps → per-device voltage limiting → Armijo backtracking →
-    /// (on a *proven* limit cycle) pseudo-transient continuation. A
-    /// solve that converges without the higher rungs reproduces the
-    /// historical floating-point stream bit-for-bit. The post-mortem of
-    /// every solve is retrievable via [`NewtonEngine::last_report`].
+    /// steps → per-device voltage limiting → Armijo backtracking → (once
+    /// the plain iteration stalls or exhausts its budget) the rescue:
+    /// pseudo-transient continuation, then gmin stepping. A solve that
+    /// converges without the rescue reproduces the historical
+    /// floating-point stream bit-for-bit. The post-mortem of every solve
+    /// is retrievable via [`NewtonEngine::last_report`].
     ///
     /// # Errors
     ///
@@ -1090,39 +1020,37 @@ impl NewtonEngine {
         }
         let started = self.counters();
         let mut x = x0.to_vec();
-        // Cycle detection requires the iterate map to be a pure
-        // function of x; the bypass layer's history-dependent stamps
-        // break that, so it disables the detector (and with it PTC).
-        let detect = self.opts.ptc && !self.opts.bypass;
         let mut ptc_used = false;
         let solved: Result<usize, CircuitError> =
-            match self.run_newton_loop(circuit, &mut x, mode, gmin, None, detect, false) {
+            match self.run_newton_loop(circuit, &mut x, mode, gmin, None, false) {
                 Ok(LoopExit::Converged(it)) => Ok(it),
-                // A proven stall escalates early; a burnt-out budget
-                // escalates late. Either way the plain iteration has
-                // failed — historically a hard error — so the rescue
-                // can only fix decks, never perturb converging ones.
+                // A stall escalates early; a burnt-out budget escalates
+                // late. Either way the plain iteration has failed —
+                // historically a hard error — so the rescue can only
+                // fix decks, never perturb converging ones. Bypass runs
+                // never stall and get no rescue (see
+                // [`NewtonOptions::bypass`]).
                 Ok(LoopExit::Stalled(it)) => {
                     ptc_used = true;
                     self.rescue(circuit, &mut x, x0, mode, gmin, it)
                 }
-                Ok(LoopExit::Exhausted) if detect => {
+                Ok(LoopExit::Exhausted) if !self.opts.bypass => {
                     ptc_used = true;
                     self.rescue(circuit, &mut x, x0, mode, gmin, self.opts.max_iter)
                 }
                 Ok(LoopExit::Exhausted) => Err(CircuitError::NoConvergence {
                     iterations: self.opts.max_iter,
                     residual: inf_norm(&self.residual),
-                    report: ConvergenceReport::default(),
+                    report: Box::default(),
                 }),
                 Err(e) => Err(e),
             };
-        let delta = self.counters().delta_since(&started);
+        let counters = self.counters().delta_since(&started);
         let strategy = if ptc_used {
             NewtonStrategy::Ptc
-        } else if delta.armijo_backtracks > 0 {
+        } else if counters.armijo_backtracks > 0 {
             NewtonStrategy::Damped
-        } else if delta.limiter_clamps > 0 {
+        } else if counters.limiter_clamps > 0 {
             NewtonStrategy::Limited
         } else {
             NewtonStrategy::Newton
@@ -1142,15 +1070,14 @@ impl NewtonEngine {
             Err(CircuitError::NoConvergence { iterations, .. }) => *iterations,
             Err(_) => self.opts.max_iter,
         };
-        self.last_trace = Some(SolveTrace {
+        let report = ConvergenceReport {
             strategy,
             iterations,
             residual: inf_norm(&self.residual),
-            worst,
-            limiter_clamps: delta.limiter_clamps,
-            armijo_backtracks: delta.armijo_backtracks,
-            ptc_steps: delta.ptc_steps,
-        });
+            worst_unknown: String::new(),
+            counters,
+        };
+        self.last_solve = Some((report, worst));
         match solved {
             Ok(it) => Ok((x, it)),
             Err(CircuitError::NoConvergence {
@@ -1158,7 +1085,7 @@ impl NewtonEngine {
                 residual,
                 ..
             }) => {
-                let report = self.last_report(circuit).unwrap_or_default();
+                let report = Box::new(self.last_report(circuit).unwrap_or_default());
                 Err(CircuitError::NoConvergence {
                     iterations,
                     residual,
@@ -1265,7 +1192,7 @@ impl NewtonEngine {
         let mut good: Option<(f64, Vec<f64>)> = None;
         let floor = GMIN_STEP_FLOOR.max(gmin);
         for _stage in 0..GMIN_MAX_STAGES {
-            let exit = self.run_newton_loop(circuit, x, mode, g, None, true, true)?;
+            let exit = self.run_newton_loop(circuit, x, mode, g, None, true)?;
             match exit {
                 LoopExit::Converged(it) => {
                     total += it;
@@ -1295,7 +1222,7 @@ impl NewtonEngine {
                             return Err(CircuitError::NoConvergence {
                                 iterations: total,
                                 residual: inf_norm(&self.residual),
-                                report: ConvergenceReport::default(),
+                                report: Box::default(),
                             });
                         }
                     }
@@ -1304,7 +1231,7 @@ impl NewtonEngine {
         }
         // Final stage at the caller's own gmin: a success here is a
         // true solution of the original system.
-        match self.run_newton_loop(circuit, x, mode, gmin, None, true, true)? {
+        match self.run_newton_loop(circuit, x, mode, gmin, None, true)? {
             LoopExit::Converged(it) => {
                 total += it;
                 self.counters.ptc_steps += 1;
@@ -1313,14 +1240,14 @@ impl NewtonEngine {
             _ => Err(CircuitError::NoConvergence {
                 iterations: total,
                 residual: inf_norm(&self.residual),
-                report: ConvergenceReport::default(),
+                report: Box::default(),
             }),
         }
     }
 
     /// Pseudo-transient continuation: called only after the plain
-    /// damped iteration stalled (proven limit cycle / stagnation) or
-    /// exhausted its budget. Adds a `C/dt`-like regularization
+    /// damped iteration stalled (stagnation window) or exhausted its
+    /// budget. Adds a `C/dt`-like regularization
     /// `g·(x − x_anchor)` to every weakly-loaded (nearly algebraic)
     /// node row — the rows that lack the damping a real capacitor
     /// would provide — re-anchoring at each converged stage and
@@ -1374,9 +1301,9 @@ impl NewtonEngine {
                     anchor: &anchor,
                     mask: &mask,
                 };
-                self.run_newton_loop(circuit, x, mode, gmin, Some(&term), true, true)
+                self.run_newton_loop(circuit, x, mode, gmin, Some(&term), true)
             };
-            match exit {
+            let spent = match exit {
                 Ok(LoopExit::Converged(it)) => {
                     total += it;
                     self.counters.ptc_steps += 1;
@@ -1395,43 +1322,28 @@ impl NewtonEngine {
                     let ratio = if fprev > 0.0 { fnow / fprev } else { 0.1 };
                     g *= ratio.clamp(1e-2, 1e-1);
                     fprev = fnow;
+                    continue;
                 }
-                Ok(LoopExit::Stalled(it)) => {
-                    total += it;
-                    x.copy_from_slice(&anchor);
-                    stiffens += 1;
-                    if g >= 1.0 || stiffens > PTC_MAX_STIFFENS {
-                        break;
-                    }
-                    g = (g * 1e2).min(1.0);
-                }
-                Ok(LoopExit::Exhausted) => {
-                    total += self.opts.max_iter;
-                    x.copy_from_slice(&anchor);
-                    stiffens += 1;
-                    if g >= 1.0 || stiffens > PTC_MAX_STIFFENS {
-                        break;
-                    }
-                    g = (g * 1e2).min(1.0);
-                }
-                Err(CircuitError::Cancelled) => return Err(CircuitError::Cancelled),
-                Err(CircuitError::SingularSystem(_)) => {
-                    // A stage stiff enough to go singular is abandoned,
-                    // not fatal: restore and stiffen like any failure.
-                    x.copy_from_slice(&anchor);
-                    stiffens += 1;
-                    if g >= 1.0 || stiffens > PTC_MAX_STIFFENS {
-                        break;
-                    }
-                    g = (g * 1e2).min(1.0);
-                }
+                Ok(LoopExit::Stalled(it)) => it,
+                Ok(LoopExit::Exhausted) => self.opts.max_iter,
+                // A stage stiff enough to go singular is abandoned, not
+                // fatal: restore and stiffen like any failure.
+                Err(CircuitError::SingularSystem(_)) => 0,
                 Err(e) => return Err(e),
+            };
+            // A failed stage: restore its anchor and stiffen.
+            total += spent;
+            x.copy_from_slice(&anchor);
+            stiffens += 1;
+            if g >= 1.0 || stiffens > PTC_MAX_STIFFENS {
+                break;
             }
+            g = (g * 1e2).min(1.0);
         }
         Err(CircuitError::NoConvergence {
             iterations: total,
             residual: inf_norm(&self.residual),
-            report: ConvergenceReport::default(),
+            report: Box::default(),
         })
     }
 
@@ -1481,10 +1393,10 @@ impl NewtonEngine {
         Err(CircuitError::StructurallySingular { nodes })
     }
 
-    /// Solves the DC operating point: plain Newton from `initial` (or
-    /// zeros) first, then a gmin ramp (1e-3 → 0) when that fails —
-    /// identical strategy to the historical `solve_dc`, but running on
-    /// the engine's cached pattern and solver.
+    /// Solves the DC operating point: the structural check, then one
+    /// [`NewtonEngine::newton`] solve from `initial` (or zeros), whose
+    /// ladder already ends in adaptive gmin stepping — all on the
+    /// engine's cached pattern and solver.
     ///
     /// # Errors
     ///
@@ -1492,7 +1404,7 @@ impl NewtonEngine {
     /// factorisation) when the MNA pattern cannot have full rank for
     /// any element values — see
     /// [`NewtonEngine::check_dc_structure`];
-    /// [`CircuitError::NoConvergence`] if even the gmin ramp fails; or
+    /// [`CircuitError::NoConvergence`] if the whole ladder fails; or
     /// [`CircuitError::SingularSystem`] for systems that are
     /// structurally fine but numerically singular (e.g. a loop of
     /// ideal voltage sources whose constraints conflict).
@@ -1501,35 +1413,10 @@ impl NewtonEngine {
         circuit: &Circuit,
         initial: Option<&[f64]>,
     ) -> Result<Solution, CircuitError> {
-        let n = circuit.unknown_count();
-        if n == 0 {
-            return Ok(Solution {
-                x: Vec::new(),
-                iterations: 0,
-            });
-        }
         self.check_dc_structure(circuit)?;
-        let x0 = initial.map(|v| v.to_vec()).unwrap_or_else(|| vec![0.0; n]);
-        match self.newton(circuit, &x0, &AnalysisMode::Dc, 0.0) {
-            Ok((x, iterations)) => Ok(Solution { x, iterations }),
-            Err(CircuitError::Cancelled) => Err(CircuitError::Cancelled),
-            Err(_) => {
-                // Gmin ramp.
-                let mut x = x0;
-                let mut total = 0usize;
-                for exp in (0..=12).rev() {
-                    let gmin = 10f64.powi(-(15 - exp));
-                    let (nx, it) = self.newton(circuit, &x, &AnalysisMode::Dc, gmin)?;
-                    x = nx;
-                    total += it;
-                }
-                let (x, it) = self.newton(circuit, &x, &AnalysisMode::Dc, 0.0)?;
-                Ok(Solution {
-                    x,
-                    iterations: total + it,
-                })
-            }
-        }
+        let x0 = initial.map_or_else(|| vec![0.0; circuit.unknown_count()], <[f64]>::to_vec);
+        let (x, iterations) = self.newton(circuit, &x0, &AnalysisMode::Dc, 0.0)?;
+        Ok(Solution { x, iterations })
     }
 }
 
@@ -1611,23 +1498,6 @@ mod tests {
         // 3 V over 1k into 3k ∥ 10k.
         let rp = 1.0 / (1.0 / 3e3 + 1.0 / 10e3);
         assert!((sol.voltage(out) - 3.0 * rp / (1e3 + rp)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn custom_tolerances_are_honoured() {
-        let (c, out) = divider();
-        let loose = NewtonOptions {
-            node_current_tol: 1e-3,
-            extra_row_tol: 1e-3,
-            ..NewtonOptions::default()
-        };
-        let mut engine = NewtonEngine::new(loose);
-        let sol = engine.dc_operating_point(&c, None).unwrap();
-        // Loose tolerances accept the very first Newton step of a linear
-        // circuit just like the tight defaults (linear → one exact step),
-        // so the answer is still right; the point is that options thread
-        // through without panicking and converge faster or equally.
-        assert!((sol.voltage(out) - 1.5).abs() < 1e-6);
     }
 
     #[test]
@@ -2051,6 +1921,10 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn bitwise_eq(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
     }
 
     fn jacobian_values(engine: &NewtonEngine) -> Vec<f64> {

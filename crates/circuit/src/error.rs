@@ -13,8 +13,9 @@ pub enum CircuitError {
         /// Final residual infinity norm.
         residual: f64,
         /// Post-mortem of the failed solve: worst-residual unknown by
-        /// name and the strategy ladder that was exhausted.
-        report: ConvergenceReport,
+        /// name and the strategy ladder that was exhausted. Boxed, so
+        /// every `Result` carrying this error stays small.
+        report: Box<ConvergenceReport>,
     },
     /// The MNA matrix was singular (floating node, short loop of ideal
     /// sources, …).
@@ -70,7 +71,7 @@ pub enum CircuitError {
         dt: f64,
         /// Post-mortem of the final failed Newton solve: worst unknown
         /// by name and the last strategy tried before giving up.
-        report: ConvergenceReport,
+        report: Box<ConvergenceReport>,
     },
 }
 
@@ -155,7 +156,7 @@ mod tests {
         let e = CircuitError::NoConvergence {
             iterations: 10,
             residual: 1e-3,
-            report: ConvergenceReport::default(),
+            report: Box::default(),
         };
         assert!(e.to_string().contains("10"));
         let s = CircuitError::SingularSystem("pivot 0".into());
@@ -164,19 +165,22 @@ mod tests {
 
     #[test]
     fn no_convergence_renders_report_exactly() {
-        use crate::engine::NewtonStrategy;
+        use crate::engine::{EngineCounters, NewtonStrategy};
         let e = CircuitError::NoConvergence {
             iterations: 120,
             residual: 2.5e-4,
-            report: ConvergenceReport {
+            report: Box::new(ConvergenceReport {
                 strategy: NewtonStrategy::Ptc,
                 iterations: 120,
                 residual: 2.5e-4,
                 worst_unknown: "mid".into(),
-                limiter_clamps: 3,
-                armijo_backtracks: 17,
-                ptc_steps: 2,
-            },
+                counters: EngineCounters {
+                    limiter_clamps: 3,
+                    armijo_backtracks: 17,
+                    ptc_steps: 2,
+                    ..EngineCounters::default()
+                },
+            }),
         };
         assert_eq!(
             e.to_string(),
@@ -188,19 +192,20 @@ mod tests {
 
     #[test]
     fn timestep_too_small_renders_report_exactly() {
-        use crate::engine::NewtonStrategy;
+        use crate::engine::{EngineCounters, NewtonStrategy};
         let e = CircuitError::TimestepTooSmall {
             t: 1.23e-10,
             dt: 1e-15,
-            report: ConvergenceReport {
+            report: Box::new(ConvergenceReport {
                 strategy: NewtonStrategy::Damped,
                 iterations: 120,
                 residual: 4.2e-9,
                 worst_unknown: "i(VIN)".into(),
-                limiter_clamps: 0,
-                armijo_backtracks: 5,
-                ptc_steps: 0,
-            },
+                counters: EngineCounters {
+                    armijo_backtracks: 5,
+                    ..EngineCounters::default()
+                },
+            }),
         };
         assert_eq!(
             e.to_string(),

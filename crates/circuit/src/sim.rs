@@ -463,7 +463,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// [`CircuitError::NoConvergence`] if even the gmin ramp fails, or
+    /// [`CircuitError::NoConvergence`] if the whole rescue ladder fails, or
     /// [`CircuitError::SingularSystem`] for structurally singular
     /// circuits.
     pub fn op(&mut self) -> Result<OpPoint, CircuitError> {

@@ -308,19 +308,36 @@ impl TransientRun {
 /// would try before declaring [`CircuitError::TimestepTooSmall`].
 const FIXED_SUBSTEP_DEPTH: usize = 6;
 
-/// Solves one fixed-grid interval `[t0, t1]` by backward Euler,
-/// recursively halving the interval when the step system cannot be
-/// converged (see the call site in [`transient_fixed_core`] for why a
-/// solution may not exist at the full `h`). `iterations` accumulates
-/// Newton iterations across every attempt; `substeps` counts the extra
-/// internal steps taken beyond the one the grid asked for.
+/// Solves the fixed-grid interval `[t0, t1]` as two backward-Euler
+/// halves from `x`, each of which splits again on failure while
+/// `depth` lasts (see the call site in [`transient_fixed_core`] for
+/// why a solution may not exist at the full `h`). Newton iterations
+/// of every attempt accumulate into `stats.newton_iterations`;
+/// `stats.substeps` counts the internal steps taken beyond the one the
+/// grid asked for.
 ///
 /// # Errors
 ///
 /// The deepest [`CircuitError::NoConvergence`] (still carrying its
 /// [`crate::engine::ConvergenceReport`]) when even the smallest
 /// sub-interval fails; any other engine error is propagated untouched.
-#[allow(clippy::too_many_arguments)]
+fn split_interval(
+    engine: &mut NewtonEngine,
+    circuit: &Circuit,
+    x: &[f64],
+    t0: f64,
+    t1: f64,
+    depth: usize,
+    stats: &mut TransientStats,
+) -> Result<Vec<f64>, CircuitError> {
+    let tm = 0.5 * (t0 + t1);
+    let xm = fixed_substep(engine, circuit, x, t0, tm, depth, stats)?;
+    stats.substeps += 1;
+    fixed_substep(engine, circuit, &xm, tm, t1, depth, stats)
+}
+
+/// One backward-Euler step over `[t0, t1]` from `x`, split with
+/// [`split_interval`] when it cannot be converged and `depth` remains.
 fn fixed_substep(
     engine: &mut NewtonEngine,
     circuit: &Circuit,
@@ -328,30 +345,17 @@ fn fixed_substep(
     t0: f64,
     t1: f64,
     depth: usize,
-    iterations: &mut usize,
-    substeps: &mut u64,
+    stats: &mut TransientStats,
 ) -> Result<Vec<f64>, CircuitError> {
     let stamp = TransientStamp::backward_euler(t1, t1 - t0, x);
     match engine.newton(circuit, x, &AnalysisMode::Transient(stamp), 0.0) {
         Ok((nx, it)) => {
-            *iterations += it;
+            stats.newton_iterations += it;
             Ok(nx)
         }
-        Err(CircuitError::NoConvergence { iterations: it, .. }) if depth > 0 => {
-            *iterations += it;
-            let tm = 0.5 * (t0 + t1);
-            let xm = fixed_substep(engine, circuit, x, t0, tm, depth - 1, iterations, substeps)?;
-            *substeps += 1;
-            fixed_substep(
-                engine,
-                circuit,
-                &xm,
-                tm,
-                t1,
-                depth - 1,
-                iterations,
-                substeps,
-            )
+        Err(CircuitError::NoConvergence { iterations, .. }) if depth > 0 => {
+            stats.newton_iterations += iterations;
+            split_interval(engine, circuit, x, t0, t1, depth - 1, stats)
         }
         Err(e) => Err(e),
     }
@@ -360,7 +364,7 @@ fn fixed_substep(
 /// The engine-sharing fixed-grid stepping core behind
 /// [`crate::sim::Simulator::transient`]. No LTE control is performed —
 /// every Newton-converged step is accepted; a Newton failure first
-/// splits the interval (see [`fixed_substep`]) and then aborts the
+/// splits the interval (see [`split_interval`]) and then aborts the
 /// run. The final step is shortened to land exactly on `t_stop`.
 /// `observer`, when present, sees every accepted `(t, x)` point in
 /// order (including the initial state) before the run completes; the
@@ -419,8 +423,11 @@ pub(crate) fn transient_fixed_core(
             _ => TransientStamp::backward_euler(t, h, &x),
         };
         let mut substepped = false;
-        let (nx, it) = match engine.newton(circuit, &x, &AnalysisMode::Transient(stamp), 0.0) {
-            Ok(r) => r,
+        let nx = match engine.newton(circuit, &x, &AnalysisMode::Transient(stamp), 0.0) {
+            Ok((nx, it)) => {
+                stats.newton_iterations += it;
+                nx
+            }
             // Hard-switching steps over purely algebraic internal nodes
             // can fold the one-shot step system so that no solution is
             // reachable at this `h` — no Newton variant can converge to
@@ -429,36 +436,13 @@ pub(crate) fn transient_fixed_core(
             // every already-produced sample) untouched; the rescue only
             // runs where the historical behavior was a hard error.
             Err(CircuitError::NoConvergence { iterations, .. }) => {
-                let mut its = iterations;
-                let tm = 0.5 * (t_prev + t);
-                let depth = FIXED_SUBSTEP_DEPTH - 1;
-                let xm = fixed_substep(
-                    engine,
-                    circuit,
-                    &x,
-                    t_prev,
-                    tm,
-                    depth,
-                    &mut its,
-                    &mut stats.substeps,
-                )?;
-                stats.substeps += 1;
-                let nx = fixed_substep(
-                    engine,
-                    circuit,
-                    &xm,
-                    tm,
-                    t,
-                    depth,
-                    &mut its,
-                    &mut stats.substeps,
-                )?;
+                stats.newton_iterations += iterations;
                 substepped = true;
-                (nx, its)
+                let depth = FIXED_SUBSTEP_DEPTH - 1;
+                split_interval(engine, circuit, &x, t_prev, t, depth, &mut stats)?
             }
             Err(e) => return Err(e),
         };
-        stats.newton_iterations += it;
         stats.accepted += 1;
         if options.integrator == TimeIntegrator::Bdf2 {
             // Sub-stepping leaves `x` one (internal) BE step away from
@@ -603,7 +587,7 @@ pub(crate) fn transient_adaptive_core(
                         return Err(CircuitError::TimestepTooSmall {
                             t: t_n,
                             dt,
-                            report: engine.last_report(circuit).unwrap_or_default(),
+                            report: Box::new(engine.last_report(circuit).unwrap_or_default()),
                         });
                     }
                     // A non-finite norm (overflowing LTE) gives no usable
@@ -623,7 +607,7 @@ pub(crate) fn transient_adaptive_core(
                     return Err(CircuitError::TimestepTooSmall {
                         t: t_n,
                         dt,
-                        report: engine.last_report(circuit).unwrap_or_default(),
+                        report: Box::new(engine.last_report(circuit).unwrap_or_default()),
                     });
                 }
                 dt = (dt * 0.25).max(dt_min);
@@ -642,7 +626,7 @@ pub(crate) fn transient_adaptive_core(
             return Err(CircuitError::TimestepTooSmall {
                 t: t_n,
                 dt,
-                report: engine.last_report(circuit).unwrap_or_default(),
+                report: Box::new(engine.last_report(circuit).unwrap_or_default()),
             });
         }
     }

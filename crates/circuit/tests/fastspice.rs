@@ -10,7 +10,7 @@
 //!    reuses the rest verbatim — the 1e-12 bound is the acceptance
 //!    criterion's safety margin.)
 //! 2. **Bypass error is bounded**: bypass-on vs bypass-off transient
-//!    waveforms differ by at most a `bypass_vtol`-derived bound, while
+//!    waveforms differ by at most a `BYPASS_VTOL`-derived bound, while
 //!    the bypass actually fires on quiescent stretches.
 //! 3. **Auto ordering never loses**: the `Auto` fill ordering (racing
 //!    AMD+BTF against the static ascending-degree order and keeping
@@ -18,6 +18,7 @@
 //!    static order alone.
 
 use cntfet_circuit::element::AnalysisMode;
+use cntfet_circuit::engine::BYPASS_VTOL;
 use cntfet_circuit::prelude::*;
 use cntfet_circuit::transient::TransientOptions;
 use cntfet_core::CompactCntFet;
@@ -139,7 +140,7 @@ proptest! {
 
     /// Contract 2: device bypass fires on the quiescent tail of a pulse
     /// response and the waveform deviation stays within the
-    /// `bypass_vtol`-derived bound. The per-stamp linearisation error is
+    /// `BYPASS_VTOL`-derived bound. The per-stamp linearisation error is
     /// O(vtol²); the engine-level bound allows 1e3·vtol for Newton
     /// stopping-point wiggle accumulated over the run.
     #[test]
@@ -147,12 +148,10 @@ proptest! {
         stages in 1usize..3,
         vdd in 0.6f64..0.9,
     ) {
-        let vtol = 1e-6;
         let spec = |bypass: bool| {
             TransientSpec::fixed(2e-9, 2e-11).with_options(TransientOptions {
                 newton: NewtonOptions {
                     bypass,
-                    bypass_vtol: vtol,
                     ..NewtonOptions::default()
                 },
                 integrator: TimeIntegrator::BackwardEuler,
@@ -169,7 +168,7 @@ proptest! {
         prop_assert!(rb.stats.counters.device_bypasses > 0, "bypass must fire on the tail");
         prop_assert_eq!(rf.stats.counters.device_bypasses, 0);
         prop_assert_eq!(rb.result.time.len(), rf.result.time.len());
-        let bound = 1e3 * vtol;
+        let bound = 1e3 * BYPASS_VTOL;
         for (xb, xf) in rb.result.states.iter().zip(&rf.result.states) {
             for (a, b) in xb.iter().zip(xf) {
                 prop_assert!(
@@ -231,9 +230,9 @@ proptest! {
 /// steps — the gain of the first stage turns the 0.225 V/step input
 /// ramp into a ≥ 0.4 V/step swing at the internal nodes, and the plain
 /// line search used to oscillate between two points with the residual
-/// stalled around 1e-8…1e-9 A (three decades above
-/// `node_current_tol`). The convergence-robustness ladder (voltage
-/// limiting → Armijo damping with the bitwise cycle detector →
+/// stalled around 1e-8…1e-9 A (three decades above the engine's
+/// node-current tolerance). The convergence-robustness ladder (voltage
+/// limiting → Armijo damping with the stagnation detector →
 /// pseudo-transient continuation on the weakly-loaded stack node) now
 /// carries these steps to convergence; the standard-cell library no
 /// longer needs the `cm` workaround parasitic this deck always

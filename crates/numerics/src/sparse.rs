@@ -31,12 +31,12 @@
 //! 1. **The recorded pattern is a superset of every later assembly.**
 //!    After [`PatternAssembler::finish`] compiles the pattern, an
 //!    [`PatternAssembler::add`] to an entry outside it panics — the
-//!    assembled structure changed without
-//!    [`PatternAssembler::invalidate`]. Callers must therefore record
-//!    every entry that can *ever* be structurally nonzero, pushing an
-//!    explicit `0.0` for entries whose value happens to vanish at the
-//!    recording point (e.g. a gmin diagonal recorded at gmin = 0, or a
-//!    companion-model conductance before the step size is known).
+//!    assembled structure changed, which needs a fresh assembler.
+//!    Callers must therefore record every entry that can *ever* be
+//!    structurally nonzero, pushing an explicit `0.0` for entries whose
+//!    value happens to vanish at the recording point (e.g. a gmin
+//!    diagonal recorded at gmin = 0, or a companion-model conductance
+//!    before the step size is known).
 //! 2. **The elimination plan is keyed on the pattern, not the values.**
 //!    [`SparseLuSolver::factor`] replays its frozen pivot order and
 //!    fill-in pattern whenever the incoming matrix shares the recorded
@@ -780,28 +780,21 @@ impl FactorPathStats {
 /// The first assembly cycle (`begin` → `add`s → `finish`) records
 /// triplets and compiles the sparsity pattern; every later cycle zeroes
 /// the stored values and routes each `add` to its preallocated slot —
-/// no allocation, no sorting, no hashing. Call [`invalidate`] when the
-/// assembled structure changes (e.g. a circuit gained elements) to force
-/// a re-recording.
+/// no allocation, no sorting, no hashing. A change of the assembled
+/// structure (e.g. a circuit gained elements) needs a fresh assembler.
 ///
-/// With [`set_track_writes`] enabled the recording cycle also remembers
-/// the `(row, col)` of every `add` in call order and compiles that
-/// sequence to pattern slots. Later cycles that replay the same
-/// sequence skip the per-add binary search (a direct slot `+=`), and
-/// callers can partition [`write_slots`] by add index to learn which
-/// pattern slots each contributor (circuit element) touches — the
-/// bookkeeping behind partial refactorization. A cycle that deviates
-/// from the recorded sequence falls back to the searched path from the
-/// point of divergence and stays correct.
+/// The recording cycle also remembers the `(row, col)` of every `add`
+/// in call order and compiles that sequence to pattern slots
+/// ([`write_slots`]). Later cycles that replay the same sequence skip
+/// the per-add binary search (a direct slot `+=`). A cycle that
+/// deviates from the recorded sequence falls back to the searched path
+/// from the point of divergence and stays correct.
 ///
-/// [`invalidate`]: PatternAssembler::invalidate
-/// [`set_track_writes`]: PatternAssembler::set_track_writes
 /// [`write_slots`]: PatternAssembler::write_slots
 #[derive(Debug)]
 pub struct PatternAssembler {
     state: AsmState,
     pattern_builds: usize,
-    track_writes: bool,
     /// `(row, col)` of every recorded `add`, in call order.
     writes: Vec<(usize, usize)>,
     /// `writes` compiled to pattern slots at `finish`.
@@ -825,7 +818,6 @@ impl PatternAssembler {
         PatternAssembler {
             state: AsmState::Recording(TripletMatrix::new(n_rows, n_cols)),
             pattern_builds: 0,
-            track_writes: false,
             writes: Vec::new(),
             write_slots: Vec::new(),
             cursor: 0,
@@ -839,20 +831,13 @@ impl PatternAssembler {
         matches!(self.state, AsmState::Recording(_))
     }
 
-    /// Enables (or disables) write-sequence tracking. Enable *before*
-    /// the recording cycle: a pattern compiled without tracking has no
-    /// recorded sequence, so every later add takes the searched path.
-    pub fn set_track_writes(&mut self, on: bool) {
-        self.track_writes = on;
-    }
-
     /// Number of adds of the recorded (pattern-compiling) cycle.
     pub fn write_count(&self) -> usize {
         self.writes.len()
     }
 
-    /// Pattern slot of each recorded add, in call order (empty until a
-    /// tracked recording cycle has finished). Stable across cycles, so
+    /// Pattern slot of each recorded add, in call order (empty until
+    /// the recording cycle has finished). Stable across cycles, so
     /// callers may index it by add ranges captured during recording.
     pub fn write_slots(&self) -> &[usize] {
         &self.write_slots
@@ -895,14 +880,12 @@ impl PatternAssembler {
     ///
     /// Panics if the indices are out of bounds, or if the entry is
     /// missing from a cached pattern — that means the assembled
-    /// structure changed without [`PatternAssembler::invalidate`].
+    /// structure changed, which needs a fresh assembler.
     pub fn add(&mut self, r: usize, c: usize, v: f64) {
         match &mut self.state {
             AsmState::Recording(t) => {
                 t.push(r, c, v);
-                if self.track_writes {
-                    self.writes.push((r, c));
-                }
+                self.writes.push((r, c));
             }
             AsmState::Ready(m) => {
                 if self.cursor < self.write_slots.len() && self.writes[self.cursor] == (r, c) {
@@ -914,7 +897,7 @@ impl PatternAssembler {
                     assert!(
                         m.add_at(r, c, v),
                         "entry ({r}, {c}) is not in the cached sparsity pattern; \
-                         call invalidate() after structural changes"
+                         a structural change needs a fresh assembler"
                     );
                 }
             }
@@ -946,18 +929,6 @@ impl PatternAssembler {
             AsmState::Ready(m) => Some(m),
             AsmState::Recording(_) => None,
         }
-    }
-
-    /// Discards the cached pattern and returns to recording mode.
-    pub fn invalidate(&mut self) {
-        let (r, c) = match &self.state {
-            AsmState::Recording(t) => (t.rows(), t.cols()),
-            AsmState::Ready(m) => (m.rows(), m.cols()),
-        };
-        self.state = AsmState::Recording(TripletMatrix::new(r, c));
-        self.writes.clear();
-        self.write_slots.clear();
-        self.cursor = 0;
     }
 }
 
@@ -2147,22 +2118,6 @@ mod tests {
         asm.add(1, 0, 1.0);
     }
 
-    #[test]
-    fn assembler_invalidate_returns_to_recording() {
-        let mut asm = PatternAssembler::new(2, 2);
-        asm.begin();
-        asm.add(0, 0, 1.0);
-        asm.finish();
-        asm.invalidate();
-        assert!(asm.is_recording());
-        asm.begin();
-        asm.add(1, 0, 1.0);
-        asm.add(0, 0, 1.0);
-        asm.add(1, 1, 1.0);
-        assert_eq!(asm.finish().nnz(), 3);
-        assert_eq!(asm.pattern_builds(), 2);
-    }
-
     fn solve_both(a: &CsrMatrix, b: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let mut dense = DenseLuSolver::new();
         let mut sparse = SparseLuSolver::new();
@@ -2742,7 +2697,6 @@ mod tests {
     #[test]
     fn assembler_replays_tracked_write_sequence() {
         let mut asm = PatternAssembler::new(3, 3);
-        asm.set_track_writes(true);
         let stamp = |asm: &mut PatternAssembler, g: f64| {
             asm.begin();
             asm.add(0, 0, g);
@@ -2771,7 +2725,6 @@ mod tests {
     #[test]
     fn assembler_tracked_cycle_deviating_falls_back_correctly() {
         let mut asm = PatternAssembler::new(2, 2);
-        asm.set_track_writes(true);
         asm.begin();
         asm.add(0, 0, 1.0);
         asm.add(1, 1, 2.0);

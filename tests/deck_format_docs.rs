@@ -120,3 +120,34 @@ fn readme_deck_snippets_parse_and_run() {
             .unwrap_or_else(|e| panic!("README.md snippet at line {line} failed to run:\n{e}"));
     }
 }
+
+/// The `.option` table of DECK_FORMAT.md lists exactly the keys the
+/// parser accepts, in the order its unknown-option error names them.
+#[test]
+fn option_table_matches_the_parser_key_list() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/DECK_FORMAT.md");
+    let markdown = std::fs::read_to_string(path).expect("docs/DECK_FORMAT.md exists");
+    let section = markdown
+        .split("### `.option`")
+        .nth(1)
+        .expect("DECK_FORMAT.md has an `.option` section");
+    let documented: Vec<&str> = section
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .skip(2) // header and separator rows
+        .filter_map(|row| row.split('|').nth(1))
+        .map(|cell| cell.trim().trim_matches('`'))
+        .collect();
+    let err = Deck::parse("probe\n.option nosuchkey=1\n.end\n")
+        .expect_err("nosuchkey is not an option")
+        .to_string();
+    let accepted: Vec<&str> = err
+        .split(".option accepts ")
+        .nth(1)
+        .and_then(|rest| rest.lines().next())
+        .unwrap_or_else(|| panic!("no accepted-key list in:\n{err}"))
+        .split(", ")
+        .collect();
+    assert_eq!(documented, accepted, "DECK_FORMAT.md table vs parser");
+}

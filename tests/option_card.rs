@@ -22,17 +22,14 @@ C1 out 0 1n
 #[test]
 fn option_card_parses_every_knob() {
     let d = deck(&format!(
-        "knobs\n.option reltol=1e-2 abstol=2u dtmin=1p\n.option bypass=1 bypassvtol=5e-5\n.option limiting=0 armijo_c1=1e-3 ptc=off\n{RC_TAIL}"
+        "knobs\n.option reltol=1e-2 abstol=2u dtmin=1p\n.option bypass=1\n.option limiting=0\n{RC_TAIL}"
     ));
     let entries: Vec<&OptionEntry> = d.options.iter().flat_map(|c| &c.entries).collect();
-    assert_eq!(entries.len(), 8);
+    assert_eq!(entries.len(), 5);
 
     let newton = d.newton_options();
     assert!(newton.bypass);
-    assert_eq!(newton.bypass_vtol, 5e-5);
     assert!(!newton.limiting);
-    assert_eq!(newton.armijo_c1, 1e-3);
-    assert!(!newton.ptc);
 
     let tran = d.transient_options();
     assert_eq!(tran.rel_tol, 1e-2);
@@ -64,11 +61,11 @@ fn later_entries_win() {
 #[test]
 fn display_round_trips_the_canonical_form() {
     let d = deck(&format!(
-        "round trip\n.option reltol=1e-2 bypass=1 ptc=0\n{RC_TAIL}"
+        "round trip\n.option reltol=1e-2 bypass=1 limiting=0\n{RC_TAIL}"
     ));
     let rendered = d.to_string();
     assert!(
-        rendered.contains(".option reltol=1e-2 bypass=1 ptc=0"),
+        rendered.contains(".option reltol=1e-2 bypass=1 limiting=0"),
         "canonical text missing from:\n{rendered}"
     );
     let again = deck(&rendered);
@@ -83,9 +80,6 @@ fn unknown_keys_and_bad_values_are_rejected_with_location() {
         (".option reltol=-1", "reltol"),
         (".option bypass=maybe", "bypass"),
         (".option limiting=maybe", "limiting"),
-        (".option armijo_c1=1.5", "armijo_c1"),
-        (".option armijo_c1=0", "armijo_c1"),
-        (".option ptc=2", "ptc"),
         (".option", ".option"),
     ] {
         let text = format!("bad\n{body}\n{RC_TAIL}");
@@ -114,19 +108,22 @@ fn reltol_reaches_the_adaptive_stepper() {
     );
 }
 
-/// There is one linear solver, so `solver` is no longer a key: it is
-/// rejected like any unknown option, with the list of accepted keys.
+/// `solver`, `bypassvtol`, `armijo_c1` and `ptc` are not keys: there is
+/// one linear solver, and the bypass tolerance, the Armijo constant and
+/// the rescue ladder are engine constants. Each is rejected like any
+/// unknown option, with the list of accepted keys.
 #[test]
 fn solver_is_an_unknown_option() {
-    let err = Deck::parse(&format!("gone\n.option solver=sparse\n{RC_TAIL}"))
-        .expect_err("solver is not an option")
-        .to_string();
-    assert!(
-        err.contains(
-            "unknown option 'solver'; .option accepts reltol, abstol, dtmin, bypass, \
-             bypassvtol, limiting, armijo_c1, ptc"
-        ),
-        "{err}"
-    );
-    assert!(err.contains(":2:"), "no line-2 location in:\n{err}");
+    for key in ["solver", "bypassvtol", "armijo_c1", "ptc"] {
+        let err = Deck::parse(&format!("gone\n.option {key}=1\n{RC_TAIL}"))
+            .expect_err(key)
+            .to_string();
+        assert!(
+            err.contains(&format!(
+                "unknown option '{key}'; .option accepts reltol, abstol, dtmin, bypass, limiting"
+            )),
+            "{err}"
+        );
+        assert!(err.contains(":2:"), "{key}: no line-2 location in:\n{err}");
+    }
 }
