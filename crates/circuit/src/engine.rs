@@ -53,7 +53,12 @@
 //!   source-constraint volts and CNFET charge-balance C/m;
 //! * the damping line search: the Armijo rule with `c₁ = 1e-4` and at
 //!   most 12 step halvings, after which the smallest trial step is
-//!   adopted unconditionally so Newton can escape shallow plateaus;
+//!   adopted unconditionally so Newton can escape shallow plateaus
+//!   ([`EngineCounters::armijo_exhaustions`] counts those). Decrease
+//!   is measured along the step actually taken: a Newton step that
+//!   limiting or a rescue stage's step cap scaled by `s` must cut
+//!   `‖F‖∞` by `c₁·α·s·‖F‖∞`, and an unscaled step (`s` exactly 1)
+//!   keeps the historical halving rule bit for bit;
 //! * the device-bypass tolerance [`BYPASS_VTOL`];
 //! * the rescue ladder, which is always armed (except in bypass runs).
 
@@ -82,8 +87,10 @@ const EXTRA_ROW_TOL: f64 = 1e-15;
 const MAX_STEP_HALVINGS: usize = 12;
 
 /// Sufficient-decrease constant `c₁` of the Armijo condition the
-/// damping line search accepts on: a trial step of length `α·dx` is
-/// accepted when `‖F‖ ≤ ‖F₀‖·(1 − c₁·α)` — the historical halving rule.
+/// damping line search accepts on: a trial `α·s·dx` along a Newton step
+/// `dx` scaled by `s` (limiting, rescue step cap) is accepted when
+/// `‖F‖ ≤ ‖F₀‖·(1 − c₁·α·s)`. With `s = 1` this is the historical
+/// halving rule.
 const ARMIJO_C1: f64 = 1e-4;
 
 /// Controlling-voltage tolerance of the device bypass, volts: a device
@@ -121,10 +128,11 @@ pub struct NewtonOptions {
     /// Per-device voltage limiting ([`crate::element::Element::limit_step`]):
     /// before the line search, every element may propose a step scale
     /// that caps its per-iteration controlling-voltage swing
-    /// (SPICE3 `pnjlim`/`fetlim` lineage). It is **not** a no-op on
-    /// decks that converge without it: a healthy iteration that takes
-    /// a step beyond some device's window is clamped too, which changes
-    /// the float stream and often the iteration count. It stays on
+    /// (SPICE3 `pnjlim`/`fetlim` lineage), and the Armijo test then
+    /// asks for decrease along the clamped step. It is **not** a no-op
+    /// on decks that converge without it: a healthy iteration that
+    /// takes a step beyond some device's window is clamped too, which
+    /// changes the float stream and the iteration count. It stays on
     /// because the generated adders fail to converge without it.
     /// Default `true`.
     pub limiting: bool,
@@ -244,6 +252,9 @@ engine_counters! {
     limiter_clamps,
     /// Armijo line-search backtracks (step halvings actually taken).
     armijo_backtracks,
+    /// Armijo line searches that met no sufficient-decrease test and
+    /// adopted their smallest trial step anyway.
+    armijo_exhaustions,
     /// Pseudo-transient continuation stages that converged.
     ptc_steps,
 }
@@ -795,9 +806,20 @@ impl NewtonEngine {
     /// converged. Assembly is a pure function of `x`, so the iterates
     /// are bitwise those of assembling every trial in full. Runs with
     /// device bypass on keep full trials: the bypass cache must see
-    /// every evaluation to reproduce its history-dependent stamps. When
-    /// no damping step satisfies the Armijo condition the smallest step
-    /// is adopted as-is (Newton may still escape a shallow plateau).
+    /// every evaluation to reproduce its history-dependent stamps.
+    ///
+    /// The Armijo condition is measured along the step actually taken:
+    /// `step_scale` is the product of the limiter's scale and, in a
+    /// rescue stage, the [`PTC_STEP_CAP`] scale, and a trial `α` is
+    /// accepted when `‖F‖∞ ≤ ‖F₀‖∞·(1 − c₁·α·step_scale)` — the
+    /// directional derivative of `‖F‖∞` along the scaled Newton step
+    /// is `−step_scale·‖F₀‖∞`, so an unscaled test would ask a clamped
+    /// step for more decrease than even an exact linear model delivers.
+    /// A step neither scale touches multiplies by exactly 1.0 and keeps
+    /// the historical rule bit for bit. When no damping step satisfies
+    /// the condition the smallest step is adopted as-is (Newton may
+    /// still escape a shallow plateau) and counted in
+    /// [`EngineCounters::armijo_exhaustions`].
     ///
     /// Stall detection runs in rescue stages and in plain solves without
     /// bypass: **non-monotone stagnation** — [`STALL_WINDOW`]
@@ -899,6 +921,10 @@ impl NewtonEngine {
                     .solve_factored(&neg_f)
                     .map_err(|e| CircuitError::SingularSystem(format!("{e}")))?
             };
+            // The product of every scale applied to the Newton step
+            // below: exactly 1.0 when neither the limiter nor the
+            // rescue cap fires.
+            let mut step_scale = 1.0f64;
             // Per-device voltage limiting: each element may cap its own
             // controlling-voltage swing; the tightest cap scales the
             // whole step so the direction is preserved. A step within
@@ -919,6 +945,7 @@ impl NewtonEngine {
                     for d in dx.iter_mut() {
                         *d *= scale;
                     }
+                    step_scale = scale;
                     self.counters.limiter_clamps += 1;
                 }
             }
@@ -934,11 +961,14 @@ impl NewtonEngine {
                     for d in dx.iter_mut() {
                         *d *= s;
                     }
+                    step_scale *= s;
                 }
             }
             // Armijo line search: halve the step until the residual
-            // satisfies the sufficient-decrease condition; adopt the
-            // final (smallest) trial unconditionally.
+            // satisfies the sufficient-decrease condition along the step
+            // actually taken (the directional derivative of ‖F‖∞ along
+            // `s·dx_newton` is `−s·‖F‖∞`); adopt the final (smallest)
+            // trial unconditionally.
             let mut alpha = 1.0;
             let unconditional = std::mem::take(&mut force_full);
             for h in 0..=MAX_STEP_HALVINGS {
@@ -948,9 +978,13 @@ impl NewtonEngine {
                 let full = h == 0 || self.opts.bypass;
                 self.assemble_into(circuit, &trial, mode, gmin, ptc, full);
                 let tnorm = inf_norm(&self.residual);
-                let improved =
-                    unconditional || tnorm <= fnorm * (1.0 - ARMIJO_C1 * alpha) || tnorm < 1e-18;
+                let improved = unconditional
+                    || tnorm <= fnorm * (1.0 - ARMIJO_C1 * alpha * step_scale)
+                    || tnorm < 1e-18;
                 if improved || h == MAX_STEP_HALVINGS {
+                    if !improved {
+                        self.counters.armijo_exhaustions += 1;
+                    }
                     x.copy_from_slice(&trial);
                     fnorm = tnorm;
                     jacobian_stale = !full;
@@ -996,9 +1030,11 @@ impl NewtonEngine {
     /// steps → per-device voltage limiting → Armijo backtracking → (once
     /// the plain iteration stalls or exhausts its budget) the rescue:
     /// pseudo-transient continuation, then gmin stepping. A solve that
-    /// converges without the rescue reproduces the historical
-    /// floating-point stream bit-for-bit. The post-mortem of every solve
-    /// is retrievable via [`NewtonEngine::last_report`].
+    /// converges with no limiter clamp and without the rescue
+    /// reproduces the historical floating-point stream bit-for-bit; a
+    /// clamped step changes it on purpose, since the line search then
+    /// measures decrease along the clamped step. The post-mortem of
+    /// every solve is retrievable via [`NewtonEngine::last_report`].
     ///
     /// # Errors
     ///

@@ -1,13 +1,16 @@
 //! Guard: the default configuration (partial refactorization on,
 //! device bypass off) reproduces the golden results **bitwise** on
 //! every checked-in example deck and on a generated 320-gate ring
-//! array.
+//! array. The DC operating points of generated ring arrays also pin
+//! their Newton counters.
 //!
 //! The golden CSVs under `tests/golden/` are `cntfet-sim --csv` output.
-//! `divider`, `rc_lowpass` and `adder2` date from before the
+//! `divider` and `rc_lowpass` date from before the
 //! partial-refactorization/bypass work; `inverter` and
 //! `ring_oscillator` were regenerated once, deliberately, when their
-//! small systems moved from the dense LU to the sparse one. The
+//! small systems moved from the dense LU to the sparse one; `adder2`
+//! and `ring_array_40x8` were regenerated once, deliberately, when the
+//! Armijo test began measuring decrease along the limited step. The
 //! partial path must replay the exact arithmetic of the full path on
 //! the columns it recomputes and reuse the rest verbatim, so `Deck::run`
 //! probe output — rendered through the round-tripping `to_csv` — must
@@ -16,6 +19,7 @@
 
 use cntfet::circuit::deck::generate::Workload;
 use cntfet::circuit::deck::Deck;
+use cntfet::circuit::engine::{ConvergenceReport, NewtonEngine, NewtonStrategy};
 
 fn repo_path(rel: &str) -> String {
     format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"))
@@ -109,9 +113,10 @@ fn adder2_matches_golden_bitwise() {
 }
 
 /// Generated-scale guard: `cntfet-gen ring-array 40 8` (320 gates, two
-/// levels of hierarchy) runs almost every factorization on the
-/// partial-refactorization path, so the bitwise contract is checked
-/// where the hot path actually works, not only on the small decks.
+/// levels of hierarchy) runs 18 of its 258 factorizations on the
+/// partial-refactorization path and the rest as full replays, so the
+/// bitwise contract is checked on a generated deck that exercises both
+/// replay paths, not only on the small decks.
 #[test]
 fn ring_array_40x8_matches_golden_bitwise() {
     let text = Workload::RingArray {
@@ -120,4 +125,55 @@ fn ring_array_40x8_matches_golden_bitwise() {
     }
     .deck(false);
     assert_text_matches_golden(&text, "ring_array_40x8");
+}
+
+/// The DC operating point of a generated `rows`×8 ring array (its
+/// `.tran` card replaced by `.op`), solved from x = 0 with the deck's
+/// Newton options. Limiting clamps the first steps of this solve.
+fn ring_array_dc_op(rows: usize) -> ConvergenceReport {
+    let text = Workload::RingArray { rows, stages: 8 }
+        .deck(false)
+        .replace(".tran 10p 400p", ".op");
+    let deck = Deck::parse(&text).expect("generated deck parses");
+    let circuit = deck.circuit().expect("generated deck lowers");
+    let mut engine = NewtonEngine::new(deck.newton_options());
+    engine
+        .dc_operating_point(&circuit, None)
+        .unwrap_or_else(|e| panic!("{rows}-row ring array DC op:\n{e}"));
+    engine.last_report(&circuit).expect("one solve ran")
+}
+
+/// The Armijo test measures decrease along the step the limiter leaves,
+/// so the clamped first steps of the small ring array's DC op are
+/// accepted: no line search exhausts its halvings and no rescue runs.
+#[test]
+fn ring_array_2x8_dc_op_converges_without_rescue() {
+    let report = ring_array_dc_op(2);
+    assert_ne!(report.strategy, NewtonStrategy::Ptc, "{report}");
+    let c = report.counters;
+    assert_eq!(
+        (c.ptc_steps, c.armijo_exhaustions),
+        (0, 0),
+        "(ptc_steps, armijo_exhaustions) — {}",
+        c.summary()
+    );
+}
+
+/// Counter pin for the DC operating point `perfbench`'s `tran_ring1k`
+/// pays on every seed (capacitors are open at DC): the 1 000-gate ring
+/// array's `.op`.
+#[test]
+fn ring_array_125x8_dc_op_keeps_its_counters() {
+    let c = ring_array_dc_op(125).counters;
+    assert_eq!(
+        (
+            c.factorizations,
+            c.armijo_backtracks,
+            c.limiter_clamps,
+            c.ptc_steps,
+            c.armijo_exhaustions
+        ),
+        (227, 1_340, 116, 7, 24),
+        "(factorizations, armijo_backtracks, limiter_clamps, ptc_steps, armijo_exhaustions)"
+    );
 }
