@@ -965,10 +965,9 @@ impl NewtonEngine {
                 }
             }
             // Armijo line search: halve the step until the residual
-            // satisfies the sufficient-decrease condition along the step
-            // actually taken (the directional derivative of ‖F‖∞ along
-            // `s·dx_newton` is `−s·‖F‖∞`); adopt the final (smallest)
-            // trial unconditionally.
+            // satisfies the sufficient-decrease condition along the
+            // scaled step; adopt the final (smallest) trial
+            // unconditionally.
             let mut alpha = 1.0;
             let unconditional = std::mem::take(&mut force_full);
             for h in 0..=MAX_STEP_HALVINGS {
@@ -1030,11 +1029,13 @@ impl NewtonEngine {
     /// steps → per-device voltage limiting → Armijo backtracking → (once
     /// the plain iteration stalls or exhausts its budget) the rescue:
     /// pseudo-transient continuation, then gmin stepping. A solve that
-    /// converges with no limiter clamp and without the rescue
-    /// reproduces the historical floating-point stream bit-for-bit; a
-    /// clamped step changes it on purpose, since the line search then
-    /// measures decrease along the clamped step. The post-mortem of
-    /// every solve is retrievable via [`NewtonEngine::last_report`].
+    /// converges without the rescue, and whose limiter-clamped steps
+    /// (if any) never backtrack, reproduces the historical
+    /// floating-point stream bit-for-bit. A clamped step that
+    /// backtracks changes it on purpose: the line search measures
+    /// decrease along the clamped step and can accept a longer trial
+    /// than the historical rule. The post-mortem of every solve is
+    /// retrievable via [`NewtonEngine::last_report`].
     ///
     /// # Errors
     ///
