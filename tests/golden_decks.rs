@@ -151,12 +151,7 @@ fn ring_array_2x8_dc_op_converges_without_rescue() {
     let report = ring_array_dc_op(2);
     assert_ne!(report.strategy, NewtonStrategy::Ptc, "{report}");
     let c = report.counters;
-    assert_eq!(
-        (c.ptc_steps, c.armijo_exhaustions),
-        (0, 0),
-        "(ptc_steps, armijo_exhaustions) — {}",
-        c.summary()
-    );
+    assert_eq!(c.armijo_exhaustions, 0, "{}", c.summary());
 }
 
 /// Counter pin for the DC operating point `perfbench`'s `tran_ring1k`
