@@ -25,7 +25,7 @@
 //! reversed. The Σ unknown of a p-device stores the *mirrored* inner
 //! voltage.
 
-use crate::element::{node_voltage, AnalysisMode, DeviceState, Element, Mna, StampOutcome};
+use crate::element::{node_voltage, AnalysisMode, Element, Mna};
 use crate::netlist::NodeId;
 use cntfet_core::CompactCntFet;
 use cntfet_physics::constants::BALLISTIC_CURRENT_PREFACTOR;
@@ -111,8 +111,7 @@ impl CnfetElement {
     /// `(vsc, vds)`: fitted-charge values/derivatives at both band
     /// edges and the ballistic transport current with its derivatives
     /// w.r.t. `(vsc, vds)`. Everything else in the stamp is affine in the
-    /// terminal voltages, so this array is exactly what device bypass
-    /// caches.
+    /// terminal voltages.
     ///
     /// Layout: `[q_src, dq_src, q_drn, dq_drn, i, di_dvsc, di_dvds]`.
     ///
@@ -149,18 +148,18 @@ impl CnfetElement {
         let di_dvds = k * sig_d;
         [q_src, dq_src, q_drn, dq_drn, i, di_dvsc, di_dvds]
     }
+}
 
-    /// Stamps residual and Jacobian from precomputed channel
-    /// quantities; all remaining arithmetic is affine in the live
-    /// terminal voltages.
-    fn stamp_with_eval(
-        &self,
-        x: &[f64],
-        sigma: usize,
-        mode: &AnalysisMode,
-        mna: &mut Mna<'_>,
-        ev: &[f64; 7],
-    ) {
+impl Element for CnfetElement {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn extra_vars(&self) -> usize {
+        1 // the inner node Σ (mirrored voltage for P devices)
+    }
+
+    fn stamp(&self, x: &[f64], sigma: usize, mode: &AnalysisMode, mna: &mut Mna<'_>) {
         let s = self.sign();
         // Mirrored terminal voltages (identity for N devices).
         let vd = s * node_voltage(x, self.drain);
@@ -170,7 +169,8 @@ impl CnfetElement {
         let vsc = vsig - vs;
 
         let caps = self.model.params().capacitances;
-        let [q_src, dq_src, q_drn, dq_drn, i_core, di_dvsc, di_dvds] = *ev;
+        let [q_src, dq_src, q_drn, dq_drn, i_core, di_dvsc, di_dvds] =
+            self.eval_channel(vsc, vd - vs, mna.wants_jacobian());
 
         // --- Σ row: charge balance (units C/m). -------------------------
         let qt = caps.gate * (vg - vs) + caps.drain * (vd - vs);
@@ -235,81 +235,6 @@ impl CnfetElement {
                 // return current exits through the other terminals via
                 // their own companions; no Σ-row stamp here.
             }
-        }
-    }
-
-    /// The mirrored controlling voltages `(vsc, vds)` at iterate `x`.
-    fn control_voltages(&self, x: &[f64], sigma: usize) -> (f64, f64) {
-        let s = self.sign();
-        let vd = s * node_voltage(x, self.drain);
-        let vs = s * node_voltage(x, self.source);
-        let vsig = x[sigma];
-        (vsig - vs, vd - vs)
-    }
-}
-
-impl Element for CnfetElement {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn extra_vars(&self) -> usize {
-        1 // the inner node Σ (mirrored voltage for P devices)
-    }
-
-    fn stamp(&self, x: &[f64], sigma: usize, mode: &AnalysisMode, mna: &mut Mna<'_>) {
-        let (vsc, vds) = self.control_voltages(x, sigma);
-        let ev = self.eval_channel(vsc, vds, mna.wants_jacobian());
-        self.stamp_with_eval(x, sigma, mode, mna, &ev);
-    }
-
-    fn stamp_cached(
-        &self,
-        x: &[f64],
-        sigma: usize,
-        mode: &AnalysisMode,
-        mna: &mut Mna<'_>,
-        state: &mut DeviceState,
-        vtol: f64,
-    ) -> StampOutcome {
-        let (vsc, vds) = self.control_voltages(x, sigma);
-        let cached = state.key.filter(|&[vsc0, vds0]| {
-            vtol >= 0.0
-                && state.vals.len() == 7
-                && (vsc - vsc0).abs() <= vtol
-                && (vds - vds0).abs() <= vtol
-        });
-        if let Some([vsc0, vds0]) = cached {
-            // Bypass: re-linearise the cached evaluation at the live
-            // point (first-order in the sub-vtol voltage deltas, so the
-            // residual error is O(vtol²)). The cache key stays at the
-            // last true evaluation, so drift cannot accumulate.
-            let dvsc = vsc - vsc0;
-            let dvds = vds - vds0;
-            let v: &[f64] = &state.vals;
-            let ev = [
-                v[0] + v[1] * dvsc,
-                v[1],
-                v[2] + v[3] * (dvsc + dvds),
-                v[3],
-                v[4] + v[5] * dvsc + v[6] * dvds,
-                v[5],
-                v[6],
-            ];
-            self.stamp_with_eval(x, sigma, mode, mna, &ev);
-            StampOutcome::Bypassed
-        } else {
-            let jacobian = mna.wants_jacobian();
-            let ev = self.eval_channel(vsc, vds, jacobian);
-            self.stamp_with_eval(x, sigma, mode, mna, &ev);
-            if !jacobian {
-                // Values only: the cache keeps its last full evaluation.
-                return StampOutcome::ResidualOnly;
-            }
-            state.key = Some([vsc, vds]);
-            state.vals.clear();
-            state.vals.extend_from_slice(&ev);
-            StampOutcome::Evaluated
         }
     }
 

@@ -356,10 +356,6 @@ pub enum OptionEntry {
     /// ([`TransientOptions::dt_min`](crate::transient::TransientOptions::dt_min)).
     /// Validated positive at parse time.
     DtMin(f64),
-    /// `bypass=0|1` — the SPICE3-lineage device bypass
-    /// ([`NewtonOptions::bypass`](crate::engine::NewtonOptions::bypass),
-    /// default off).
-    Bypass(bool),
     /// `limiting=0|1` — per-device voltage limiting of Newton steps
     /// ([`NewtonOptions::limiting`](crate::engine::NewtonOptions::limiting),
     /// default on).
@@ -373,7 +369,6 @@ impl OptionEntry {
             OptionEntry::RelTol(_) => "reltol",
             OptionEntry::AbsTol(_) => "abstol",
             OptionEntry::DtMin(_) => "dtmin",
-            OptionEntry::Bypass(_) => "bypass",
             OptionEntry::Limiting(_) => "limiting",
         }
     }
@@ -381,9 +376,7 @@ impl OptionEntry {
     fn value_text(&self) -> String {
         match self {
             OptionEntry::RelTol(v) | OptionEntry::AbsTol(v) | OptionEntry::DtMin(v) => num(*v),
-            OptionEntry::Bypass(b) | OptionEntry::Limiting(b) => {
-                String::from(if *b { "1" } else { "0" })
-            }
+            OptionEntry::Limiting(b) => String::from(if *b { "1" } else { "0" }),
         }
     }
 }
@@ -735,7 +728,7 @@ impl Deck {
     }
 
     /// The Newton options the deck's `.option` cards select: defaults
-    /// with `bypass` and `limiting` entries applied in source order
+    /// with `limiting` entries applied in source order
     /// (later entries win). These drive `.op` and `.dc` cards
     /// directly; `.tran` cards take them through
     /// [`Deck::transient_options`].
@@ -769,10 +762,8 @@ impl Deck {
     fn apply_newton_entries(&self, newton: &mut crate::engine::NewtonOptions) {
         for card in &self.options {
             for entry in &card.entries {
-                match entry {
-                    OptionEntry::Bypass(b) => newton.bypass = *b,
-                    OptionEntry::Limiting(b) => newton.limiting = *b,
-                    _ => {}
+                if let OptionEntry::Limiting(b) = entry {
+                    newton.limiting = *b;
                 }
             }
         }

@@ -1243,10 +1243,9 @@ fn parse_option(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<OptionCard, D
                 OptionEntry::AbsTol(cur.next_positive("the absolute LTE tolerance in volts")?)
             }
             "dtmin" => OptionEntry::DtMin(cur.next_positive("the minimum step size in seconds")?),
-            "bypass" => OptionEntry::Bypass(next_switch(cur, "bypass")?),
             "limiting" => OptionEntry::Limiting(next_switch(cur, "limiting")?),
             _ => {
-                let known = ["reltol", "abstol", "dtmin", "bypass", "limiting"];
+                let known = ["reltol", "abstol", "dtmin", "limiting"];
                 let mut err = cur.at(
                     key_span,
                     format!(

@@ -204,39 +204,6 @@ pub fn node_voltage(x: &[f64], node: NodeId) -> f64 {
     node.unknown_index().map(|i| x[i]).unwrap_or(0.0)
 }
 
-/// Per-instance evaluation cache for [`Element::stamp_cached`], owned by
-/// the engine (one per element per analysis cache) so elements stay
-/// immutable and shareable.
-///
-/// `key` is the controlling-voltage operating point of the cached
-/// evaluation (device-defined meaning; the CNFET uses `[vsc, vds]`) and
-/// `vals` the expensive intermediates computed there. `None` means no
-/// evaluation is cached yet.
-#[derive(Debug, Clone, Default)]
-pub struct DeviceState {
-    /// Controlling voltages of the cached evaluation.
-    pub key: Option<[f64; 2]>,
-    /// Device-defined cached intermediates.
-    pub vals: Vec<f64>,
-}
-
-/// What [`Element::stamp_cached`] did with its evaluation cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StampOutcome {
-    /// The element has no expensive evaluation to cache (linear R/C/V/I
-    /// stamps).
-    Static,
-    /// The element evaluated its device equations and refreshed the
-    /// cache.
-    Evaluated,
-    /// The element re-stamped cached values because its controlling
-    /// voltages moved less than the bypass tolerance.
-    Bypassed,
-    /// The element evaluated its device equations for the residual
-    /// only (a residual-only [`Mna`]), leaving its cache untouched.
-    ResidualOnly,
-}
-
 /// A circuit element that can stamp itself into the MNA system.
 pub trait Element: fmt::Debug {
     /// Unique name used for lookups (e.g. sweeping a source).
@@ -253,32 +220,6 @@ pub trait Element: fmt::Debug {
     /// first extra variable (meaningless when [`Element::extra_vars`] is
     /// 0).
     fn stamp(&self, x: &[f64], extra_base: usize, mode: &AnalysisMode, mna: &mut Mna<'_>);
-
-    /// Like [`Element::stamp`], but with an engine-owned evaluation
-    /// cache and a bypass tolerance: when `vtol >= 0` and the element's
-    /// controlling voltages moved less than `vtol` since the cached
-    /// evaluation, the element may re-stamp its cached expensive
-    /// intermediates (re-linearised at the *cached* operating point)
-    /// instead of re-evaluating its device equations — the SPICE3
-    /// device-bypass move. A negative `vtol` disables bypassing but
-    /// still maintains the cache. On a residual-only `mna` an element
-    /// that is not bypassed evaluates values only and leaves the cache
-    /// as it was ([`StampOutcome::ResidualOnly`]), since the cache holds
-    /// derivatives too. The default implementation forwards to `stamp`
-    /// (correct for elements with nothing expensive to skip).
-    fn stamp_cached(
-        &self,
-        x: &[f64],
-        extra_base: usize,
-        mode: &AnalysisMode,
-        mna: &mut Mna<'_>,
-        state: &mut DeviceState,
-        vtol: f64,
-    ) -> StampOutcome {
-        let _ = (state, vtol);
-        self.stamp(x, extra_base, mode, mna);
-        StampOutcome::Static
-    }
 
     /// Updates the element's primary value (source voltage/current).
     /// Returns `false` if the element has no such notion.

@@ -23,8 +23,7 @@
 //! accepted backtracked trial gets its Jacobian at the top of the next
 //! iteration, unless it has already converged. Assembly is a pure
 //! function of `x`, so every iterate is bitwise what full assemblies
-//! give. Device bypass keeps full trials (its cache is history-
-//! dependent).
+//! give.
 //!
 //! The cache is keyed on [`Circuit::id`], [`Circuit::revision`], the
 //! unknown count and the analysis *kind* (DC vs transient), so a
@@ -43,8 +42,8 @@
 //! * `max_iter` bounds each *individual* Newton solve — per transient
 //!   step attempt, per sweep point, per rescue stage — not the whole
 //!   analysis;
-//! * `partial_refactor`, `bypass` and `limiting` switch the hot-path
-//!   and robustness layers documented on their fields.
+//! * `partial_refactor` and `limiting` switch the hot-path and
+//!   robustness layers documented on their fields.
 //!
 //! Everything else is a module constant:
 //!
@@ -59,11 +58,10 @@
 //!   limiting or a rescue stage's step cap scaled by `s` must cut
 //!   `‖F‖∞` by `c₁·α·s·‖F‖∞`, and an unscaled step (`s` exactly 1)
 //!   keeps the historical halving rule bit for bit;
-//! * the device-bypass tolerance [`BYPASS_VTOL`];
-//! * the rescue ladder, which is always armed (except in bypass runs).
+//! * the rescue ladder, which is always armed.
 
 use crate::dc::Solution;
-use crate::element::{AnalysisMode, DeviceState, Mna, StampOutcome};
+use crate::element::{AnalysisMode, Mna};
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
 use cntfet_numerics::sparse::{
@@ -93,15 +91,9 @@ const MAX_STEP_HALVINGS: usize = 12;
 /// halving rule.
 const ARMIJO_C1: f64 = 1e-4;
 
-/// Controlling-voltage tolerance of the device bypass, volts: a device
-/// whose controlling voltages moved less than this since its last true
-/// evaluation is re-stamped from cache (see [`NewtonOptions::bypass`]).
-pub const BYPASS_VTOL: f64 = 1e-6;
-
 /// Tuning knobs of the Newton iteration, shared by DC, transient and
 /// sweep analyses. [`NewtonOptions::default`] keeps the historical
-/// iteration budget with partial refactorization and limiting on and
-/// bypass off.
+/// iteration budget with partial refactorization and limiting on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewtonOptions {
     /// Iteration budget per Newton solve (per transient step, per
@@ -115,16 +107,6 @@ pub struct NewtonOptions {
     /// on the recomputed columns and reuses the rest verbatim), so it
     /// is on by default. Default `true`.
     pub partial_refactor: bool,
-    /// SPICE3-lineage device bypass: skip re-evaluating a nonlinear
-    /// device whose controlling voltages moved less than
-    /// [`BYPASS_VTOL`] since its last true evaluation, re-stamping its
-    /// cached (first-order corrected) values instead. Changes the
-    /// floating-point stream, so it is **off by default**; the waveform
-    /// deviation is bounded by the agreement tests at O(`BYPASS_VTOL`²)
-    /// per stamp. A bypass run keeps plain damped Newton (no limiting,
-    /// no stall detection, no rescue): its cached stamps depend on the
-    /// iterate history, not on `x` alone. Default `false`.
-    pub bypass: bool,
     /// Per-device voltage limiting ([`crate::element::Element::limit_step`]):
     /// before the line search, every element may propose a step scale
     /// that caps its per-iteration controlling-voltage swing
@@ -143,7 +125,6 @@ impl Default for NewtonOptions {
         NewtonOptions {
             max_iter: 80,
             partial_refactor: true,
-            bypass: false,
             limiting: true,
         }
     }
@@ -174,9 +155,9 @@ struct Cache {
     /// repeated DC solves (sweep points, transient initial conditions)
     /// pay for the matching exactly once per pattern build.
     struct_ok: bool,
-    /// One bypass cache per element (empty [`DeviceState`] for elements
-    /// that never cache), owned by the engine so elements stay `&self`.
-    states: Vec<DeviceState>,
+    /// Nonlinear devices evaluated per assembly pass
+    /// ([`Circuit::device_count`]).
+    devices: u64,
     /// Matrix values of the previous *successful* factorization, the
     /// baseline the partial-refactorization diff runs against.
     prev_values: Vec<f64>,
@@ -241,13 +222,11 @@ engine_counters! {
     /// Columns that a full factorization would have recomputed.
     columns_total,
     /// Nonlinear device evaluations that ran the full model (values
-    /// and derivatives).
+    /// and derivatives): every device, once per full assembly.
     device_evals,
     /// Nonlinear device evaluations for a residual-only assembly (an
     /// Armijo trial after the first): values only, no derivatives.
     residual_evals,
-    /// Nonlinear device evaluations skipped by the bypass layer.
-    device_bypasses,
     /// Newton steps scaled down by per-device voltage limiting.
     limiter_clamps,
     /// Armijo line-search backtracks (step halvings actually taken).
@@ -413,7 +392,8 @@ enum LoopExit {
     /// iterations spent.
     Stalled(usize),
     /// The iteration budget ran out without convergence or a stall.
-    Exhausted,
+    /// Carries the budget spent.
+    Exhausted(usize),
 }
 
 /// Hard cap on the per-iteration step infinity norm *inside
@@ -589,10 +569,9 @@ impl NewtonEngine {
     /// extra-variable bases match the new circuit, the cache is re-keyed
     /// in place: the recorded pattern, tracked write sequence and frozen
     /// solver plan survive, while everything value-dependent is reset —
-    /// the structural-rank verdict, the partial-refactorization baseline
-    /// and the per-device bypass caches — so no numerical state leaks
-    /// between circuits. Incompatible slots are dropped and rebuild
-    /// lazily.
+    /// the structural-rank verdict and the partial-refactorization
+    /// baseline — so no numerical state leaks between circuits.
+    /// Incompatible slots are dropped and rebuild lazily.
     ///
     /// **Caller contract:** the new circuit must stamp the same slot
     /// sequence (same element kinds and node wiring, values free). Keyed
@@ -601,7 +580,6 @@ impl NewtonEngine {
     pub fn rebind(&mut self, circuit: &Circuit) {
         let unknowns = circuit.unknown_count();
         let bases = circuit.extra_var_bases();
-        let elements = circuit.elements().len();
         for slot in &mut self.caches {
             let compatible = slot
                 .as_ref()
@@ -613,8 +591,6 @@ impl NewtonEngine {
                 c.struct_ok = false;
                 c.prev_valid = false;
                 c.prev_values.clear();
-                c.states.clear();
-                c.states.resize_with(elements, DeviceState::default);
             } else {
                 *slot = None;
             }
@@ -682,11 +658,7 @@ impl NewtonEngine {
                 solver: SparseLuSolver::new(),
                 bases: circuit.extra_var_bases(),
                 struct_ok: false,
-                states: circuit
-                    .elements()
-                    .iter()
-                    .map(|_| DeviceState::default())
-                    .collect(),
+                devices: circuit.device_count() as u64,
                 prev_values: Vec::new(),
                 prev_valid: false,
                 changed: Vec::new(),
@@ -700,12 +672,15 @@ impl NewtonEngine {
     }
 
     /// Assembles `F(x)` and, with `jacobian` on, `J(x)` into the
-    /// engine's reused buffers. A residual-only pass (`jacobian` off)
-    /// runs the same stamps against an [`Mna`] without a Jacobian
-    /// target: devices evaluate values only, and the assembler — with
-    /// the last assembled Jacobian — is left untouched. `ptc` (only
-    /// `Some` inside a pseudo-transient rescue stage) adds its diagonal
-    /// regularization through the reserved gmin slots.
+    /// engine's reused buffers, counting every nonlinear device once in
+    /// [`EngineCounters::device_evals`] or, on a residual-only pass
+    /// (`jacobian` off), in [`EngineCounters::residual_evals`]. A
+    /// residual-only pass runs the same stamps against an [`Mna`]
+    /// without a Jacobian target: devices evaluate values only, and the
+    /// assembler — with the last assembled Jacobian — is left
+    /// untouched. `ptc` (only `Some` inside a pseudo-transient rescue
+    /// stage) adds its diagonal regularization through the reserved
+    /// gmin slots.
     fn assemble_into(
         &mut self,
         circuit: &Circuit,
@@ -721,19 +696,13 @@ impl NewtonEngine {
         self.residual.iter_mut().for_each(|v| *v = 0.0);
         if jacobian {
             cache.asm.begin();
+            self.counters.device_evals += cache.devices;
+        } else {
+            self.counters.residual_evals += cache.devices;
         }
-        // A negative tolerance disables the bypass while keeping each
-        // device's evaluation cache warm (and its eval counted).
-        let vtol = if self.opts.bypass { BYPASS_VTOL } else { -1.0 };
         let mut mna = Mna::new(&mut self.residual, jacobian.then_some(&mut cache.asm));
-        let elements = circuit.elements().iter().zip(&cache.bases);
-        for ((e, &base), state) in elements.zip(&mut cache.states) {
-            match e.stamp_cached(x, base, mode, &mut mna, state, vtol) {
-                StampOutcome::Evaluated => self.counters.device_evals += 1,
-                StampOutcome::ResidualOnly => self.counters.residual_evals += 1,
-                StampOutcome::Bypassed => self.counters.device_bypasses += 1,
-                StampOutcome::Static => {}
-            }
+        for (e, &base) in circuit.elements().iter().zip(&cache.bases) {
+            e.stamp(x, base, mode, &mut mna);
         }
         // Structural diagonal: reserves every (i, i) slot so the gmin
         // ramp, the pseudo-transient regularization and the pivot search
@@ -804,9 +773,7 @@ impl NewtonEngine {
     /// rejected, and an accepted one has its Jacobian assembled at the
     /// top of the next iteration — unless that iterate has already
     /// converged. Assembly is a pure function of `x`, so the iterates
-    /// are bitwise those of assembling every trial in full. Runs with
-    /// device bypass on keep full trials: the bypass cache must see
-    /// every evaluation to reproduce its history-dependent stamps.
+    /// are bitwise those of assembling every trial in full.
     ///
     /// The Armijo condition is measured along the step actually taken:
     /// `step_scale` is the product of the limiter's scale and, in a
@@ -821,15 +788,14 @@ impl NewtonEngine {
     /// still escape a shallow plateau) and counted in
     /// [`EngineCounters::armijo_exhaustions`].
     ///
-    /// Stall detection runs in rescue stages and in plain solves without
-    /// bypass: **non-monotone stagnation** — [`STALL_WINDOW`]
-    /// consecutive accepted iterates whose residual norm changes by
-    /// less than [`STALL_RTOL`] relatively, at least one of them an
-    /// *increase* — exits [`LoopExit::Stalled`] rather than burning the
-    /// rest of the budget. This catches the practical limit cycle that
-    /// oscillates between two points with a slow last-bit drift; the
-    /// increase requirement keeps a slowly *converging* crawl (monotone
-    /// decrease) from ever tripping it.
+    /// Every solve detects stalls: **non-monotone stagnation** —
+    /// [`STALL_WINDOW`] consecutive accepted iterates whose residual
+    /// norm changes by less than [`STALL_RTOL`] relatively, at least
+    /// one of them an *increase* — exits [`LoopExit::Stalled`] rather
+    /// than burning the rest of the budget. This catches the practical
+    /// limit cycle that oscillates between two points with a slow
+    /// last-bit drift; the increase requirement keeps a slowly
+    /// *converging* crawl (monotone decrease) from ever tripping it.
     ///
     /// A `rescue` stage also caps each step at [`PTC_STEP_CAP`] and may
     /// spend [`NEWTON_BREAKOUTS`] before a stall ends it.
@@ -848,16 +814,6 @@ impl NewtonEngine {
         let mut neg_f = vec![0.0; n];
         let mut trial = vec![0.0; n];
         let max_iter = self.opts.max_iter;
-        // Bypass runs keep the seed's plain Newton + Armijo behavior: no
-        // stall detection (a plain bypass solve has no rescue to hand
-        // over to) and no voltage limiting, which assumes stamps are a
-        // pure function of `x`. The bypass layer's history-dependent
-        // stamps break that: a limited step changes which devices get
-        // bypassed on later iterates, and the first-order-corrected
-        // cached stamps can then disagree with the limiter's trajectory
-        // enough to stall the solve.
-        let detect_stalls = rescue || !self.opts.bypass;
-        let limiting = self.opts.limiting && !self.opts.bypass;
         let mut stagnant = 0usize;
         let mut saw_increase = false;
         let mut prev_fnorm = fnorm;
@@ -929,7 +885,7 @@ impl NewtonEngine {
             // controlling-voltage swing; the tightest cap scales the
             // whole step so the direction is preserved. A step within
             // every device's limits passes through bitwise-untouched.
-            if limiting {
+            if self.opts.limiting {
                 let mut scale = 1.0f64;
                 {
                     let cache = self.caches[self.active].as_ref().expect("assembled above");
@@ -974,7 +930,7 @@ impl NewtonEngine {
                 for ((t, &xi), &di) in trial.iter_mut().zip(x.iter()).zip(&dx) {
                     *t = xi + alpha * di;
                 }
-                let full = h == 0 || self.opts.bypass;
+                let full = h == 0;
                 self.assemble_into(circuit, &trial, mode, gmin, ptc, full);
                 let tnorm = inf_norm(&self.residual);
                 let improved = unconditional
@@ -992,36 +948,34 @@ impl NewtonEngine {
                 alpha *= 0.5;
                 self.counters.armijo_backtracks += 1;
             }
-            if detect_stalls {
-                let mut stalled = false;
-                if (fnorm - prev_fnorm).abs() <= STALL_RTOL * prev_fnorm {
-                    stagnant += 1;
-                    saw_increase |= fnorm > prev_fnorm;
-                    stalled = stagnant >= STALL_WINDOW && saw_increase;
-                } else {
-                    stagnant = 0;
-                    saw_increase = false;
+            let mut stalled = false;
+            if (fnorm - prev_fnorm).abs() <= STALL_RTOL * prev_fnorm {
+                stagnant += 1;
+                saw_increase |= fnorm > prev_fnorm;
+                stalled = stagnant >= STALL_WINDOW && saw_increase;
+            } else {
+                stagnant = 0;
+                saw_increase = false;
+            }
+            prev_fnorm = fnorm;
+            if stalled {
+                if breakouts == 0 {
+                    return Ok(LoopExit::Stalled(it + 1));
                 }
-                prev_fnorm = fnorm;
-                if stalled {
-                    if breakouts == 0 {
-                        return Ok(LoopExit::Stalled(it + 1));
-                    }
-                    // Trapped at a residual ridge: spend a breakout —
-                    // the next step is accepted at full length without
-                    // the sufficient-decrease test — and rearm the
-                    // detector for the new trajectory.
-                    breakouts -= 1;
-                    force_full = true;
-                    stagnant = 0;
-                    saw_increase = false;
-                }
+                // Trapped at a residual ridge: spend a breakout — the
+                // next step is accepted at full length without the
+                // sufficient-decrease test — and rearm the detector for
+                // the new trajectory.
+                breakouts -= 1;
+                force_full = true;
+                stagnant = 0;
+                saw_increase = false;
             }
         }
         if self.converged(circuit) {
             return Ok(LoopExit::Converged(max_iter));
         }
-        Ok(LoopExit::Exhausted)
+        Ok(LoopExit::Exhausted(max_iter))
     }
 
     /// Runs one Newton solve from `x0` at the given analysis mode and
@@ -1064,22 +1018,11 @@ impl NewtonEngine {
                 // A stall escalates early; a burnt-out budget escalates
                 // late. Either way the plain iteration has failed —
                 // historically a hard error — so the rescue can only
-                // fix decks, never perturb converging ones. Bypass runs
-                // never stall and get no rescue (see
-                // [`NewtonOptions::bypass`]).
-                Ok(LoopExit::Stalled(it)) => {
+                // fix decks, never perturb converging ones.
+                Ok(LoopExit::Stalled(it) | LoopExit::Exhausted(it)) => {
                     ptc_used = true;
                     self.rescue(circuit, &mut x, x0, mode, gmin, it)
                 }
-                Ok(LoopExit::Exhausted) if !self.opts.bypass => {
-                    ptc_used = true;
-                    self.rescue(circuit, &mut x, x0, mode, gmin, self.opts.max_iter)
-                }
-                Ok(LoopExit::Exhausted) => Err(CircuitError::NoConvergence {
-                    iterations: self.opts.max_iter,
-                    residual: inf_norm(&self.residual),
-                    report: Box::default(),
-                }),
                 Err(e) => Err(e),
             };
         let counters = self.counters().delta_since(&started);
@@ -1240,11 +1183,8 @@ impl NewtonEngine {
                     good = Some((g, x.to_vec()));
                     g = (g * factor).max(floor);
                 }
-                other => {
-                    total += match other {
-                        LoopExit::Stalled(it) => it,
-                        _ => self.opts.max_iter,
-                    };
+                LoopExit::Stalled(it) | LoopExit::Exhausted(it) => {
+                    total += it;
                     // Back off: restore the last good rung and descend
                     // more gently from there. With no good rung yet, or
                     // a factor already near 1, the ladder has nothing
@@ -1361,8 +1301,7 @@ impl NewtonEngine {
                     fprev = fnow;
                     continue;
                 }
-                Ok(LoopExit::Stalled(it)) => it,
-                Ok(LoopExit::Exhausted) => self.opts.max_iter,
+                Ok(LoopExit::Stalled(it) | LoopExit::Exhausted(it)) => it,
                 // A stage stiff enough to go singular is abandoned, not
                 // fatal: restore and stiffen like any failure.
                 Err(CircuitError::SingularSystem(_)) => 0,

@@ -127,9 +127,9 @@ pub fn add_inverter_chain(
 /// strand, the array is the fast-SPICE scaling workload: thousands of
 /// gates whose Jacobian is block-banded — each row an independent
 /// block coupled only through the shared input and supply — so
-/// fill-reducing orderings, partial refactorization and device bypass
-/// all have structure to exploit (the `fastspice_scaling` bench builds
-/// its ≥1000-gate netlist here).
+/// fill-reducing orderings and partial refactorization have structure
+/// to exploit (the `fastspice_scaling` bench builds its ≥1000-gate
+/// netlist here).
 ///
 /// # Panics
 ///

@@ -166,10 +166,11 @@ impl Circuit {
 
     /// Number of nonlinear device instances: elements that carry extra
     /// unknowns without being sources (today, the CNFETs and their
-    /// inner charge nodes). This is the population the device-bypass
-    /// counters ([`crate::engine::EngineCounters::device_evals`] /
-    /// `device_bypasses`) draw from — linear R/C/V/I stamps are static
-    /// and never counted.
+    /// inner charge nodes). Every assembly pass evaluates each of them
+    /// once and adds this count to
+    /// [`crate::engine::EngineCounters::device_evals`] (or, on a
+    /// residual-only pass, to `residual_evals`) — linear R/C/V/I stamps
+    /// are never counted.
     pub fn device_count(&self) -> usize {
         self.elements
             .iter()

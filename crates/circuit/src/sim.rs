@@ -605,8 +605,8 @@ impl Simulator {
     }
 
     /// Snapshot of every session-lifetime hot-path counter
-    /// (factorisation paths, columns recomputed, device evaluations vs
-    /// bypasses, ladder rungs). Per-analysis numbers come from
+    /// (factorisation paths, columns recomputed, device evaluations,
+    /// ladder rungs). Per-analysis numbers come from
     /// capturing a baseline before an analysis and calling
     /// [`EngineCounters::delta_since`] after it — the discipline
     /// [`TransientStats`](crate::transient::TransientStats) follows

@@ -1,24 +1,20 @@
 //! Property tests of the fast-SPICE hot path.
 //!
-//! Three contracts, each over a randomised netlist corpus:
+//! Two contracts, each over a randomised netlist corpus:
 //!
-//! 1. **Partial refactorization is exact**: with device bypass off,
-//!    solving with `partial_refactor` on vs off agrees to ≤ 1e-12 on
-//!    every node voltage, across DC sweeps and transient step changes.
-//!    (The implementation is in fact bitwise-identical — the partial
-//!    replay runs the same arithmetic on the recomputed columns and
-//!    reuses the rest verbatim — the 1e-12 bound is the acceptance
-//!    criterion's safety margin.)
-//! 2. **Bypass error is bounded**: bypass-on vs bypass-off transient
-//!    waveforms differ by at most a `BYPASS_VTOL`-derived bound, while
-//!    the bypass actually fires on quiescent stretches.
-//! 3. **Auto ordering never loses**: the `Auto` fill ordering (racing
+//! 1. **Partial refactorization is exact**: solving with
+//!    `partial_refactor` on vs off agrees to ≤ 1e-12 on every node
+//!    voltage, across DC sweeps and transient step changes. (The
+//!    implementation is in fact bitwise-identical — the partial replay
+//!    runs the same arithmetic on the recomputed columns and reuses the
+//!    rest verbatim — the 1e-12 bound is the acceptance criterion's
+//!    safety margin.)
+//! 2. **Auto ordering never loses**: the `Auto` fill ordering (racing
 //!    AMD+BTF against the static ascending-degree order and keeping
 //!    the sparser elimination) never produces more fill than the
 //!    static order alone.
 
 use cntfet_circuit::element::AnalysisMode;
-use cntfet_circuit::engine::BYPASS_VTOL;
 use cntfet_circuit::prelude::*;
 use cntfet_circuit::transient::TransientOptions;
 use cntfet_core::CompactCntFet;
@@ -138,49 +134,7 @@ proptest! {
         }
     }
 
-    /// Contract 2: device bypass fires on the quiescent tail of a pulse
-    /// response and the waveform deviation stays within the
-    /// `BYPASS_VTOL`-derived bound. The per-stamp linearisation error is
-    /// O(vtol²); the engine-level bound allows 1e3·vtol for Newton
-    /// stopping-point wiggle accumulated over the run.
-    #[test]
-    fn bypass_error_is_vtol_bounded(
-        stages in 1usize..3,
-        vdd in 0.6f64..0.9,
-    ) {
-        let spec = |bypass: bool| {
-            TransientSpec::fixed(2e-9, 2e-11).with_options(TransientOptions {
-                newton: NewtonOptions {
-                    bypass,
-                    ..NewtonOptions::default()
-                },
-                integrator: TimeIntegrator::BackwardEuler,
-                ..TransientOptions::default()
-            })
-        };
-        let run = |bypass: bool| {
-            Simulator::new(mixed_netlist(stages, &[1e4, 2e4], vdd, 0.0))
-                .transient(&spec(bypass))
-                .expect("transient")
-        };
-        let rb = run(true);
-        let rf = run(false);
-        prop_assert!(rb.stats.counters.device_bypasses > 0, "bypass must fire on the tail");
-        prop_assert_eq!(rf.stats.counters.device_bypasses, 0);
-        prop_assert_eq!(rb.result.time.len(), rf.result.time.len());
-        let bound = 1e3 * BYPASS_VTOL;
-        for (xb, xf) in rb.result.states.iter().zip(&rf.result.states) {
-            for (a, b) in xb.iter().zip(xf) {
-                prop_assert!(
-                    (a - b).abs() <= bound,
-                    "bypass deviation {} exceeds {bound}",
-                    (a - b).abs()
-                );
-            }
-        }
-    }
-
-    /// Contract 3: on assembled MNA Jacobians from the same corpus, the
+    /// Contract 2: on assembled MNA Jacobians from the same corpus, the
     /// `Auto` ordering (AMD+BTF raced against the static order) never
     /// has more factor fill than the static ascending-degree order, and
     /// both factorizations solve to the same answer.

@@ -28,9 +28,9 @@ const USAGE: &str =
 
   --csv             print analysis reports as CSV instead of aligned tables
   --stats           print per-card engine counters (factorizations by path,
-                    columns recomputed, device evals vs bypasses, limiter
-                    clamps, armijo backtracks and exhausted line searches,
-                    ptc stages)
+                    columns recomputed, full and residual-only device
+                    evals, limiter clamps, armijo backtracks and exhausted
+                    line searches, ptc stages)
   --check           parse, validate, lint and lower the deck but run nothing
   --lint            run the static deck analyzer and print its findings
 

@@ -1,12 +1,12 @@
-//! Guard: the default configuration (partial refactorization on,
-//! device bypass off) reproduces the golden results **bitwise** on
+//! Guard: the default configuration (partial refactorization and
+//! voltage limiting on) reproduces the golden results **bitwise** on
 //! every checked-in example deck and on a generated 320-gate ring
 //! array. The DC operating points of generated ring arrays also pin
 //! their Newton counters.
 //!
 //! The golden CSVs under `tests/golden/` are `cntfet-sim --csv` output.
 //! `divider` and `rc_lowpass` date from before the
-//! partial-refactorization/bypass work; `inverter` and
+//! partial-refactorization work; `inverter` and
 //! `ring_oscillator` were regenerated once, deliberately, when their
 //! small systems moved from the dense LU to the sparse one; `adder2`
 //! and `ring_array_40x8` were regenerated once, deliberately, when the

@@ -22,20 +22,22 @@ C1 out 0 1n
 #[test]
 fn option_card_parses_every_knob() {
     let d = deck(&format!(
-        "knobs\n.option reltol=1e-2 abstol=2u dtmin=1p\n.option bypass=1\n.option limiting=0\n{RC_TAIL}"
+        "knobs\n.option reltol=1e-2 abstol=2u dtmin=1p\n.option limiting=0\n{RC_TAIL}"
     ));
     let entries: Vec<&OptionEntry> = d.options.iter().flat_map(|c| &c.entries).collect();
-    assert_eq!(entries.len(), 5);
+    assert_eq!(entries.len(), 4);
 
     let newton = d.newton_options();
-    assert!(newton.bypass);
     assert!(!newton.limiting);
 
     let tran = d.transient_options();
     assert_eq!(tran.rel_tol, 1e-2);
     assert_eq!(tran.abs_tol, 2e-6, "SPICE suffix 'u' must scale abstol");
     assert_eq!(tran.dt_min, Some(1e-12));
-    assert!(tran.newton.bypass, "newton knobs flow into the transient");
+    assert!(
+        !tran.newton.limiting,
+        "newton knobs flow into the transient"
+    );
 }
 
 #[test]
@@ -52,20 +54,20 @@ fn option_free_deck_lowering_is_exactly_the_default() {
 #[test]
 fn later_entries_win() {
     let d = deck(&format!(
-        "merge order\n.option reltol=1e-2\n.option reltol=4e-3 bypass=on\n.option bypass=off\n{RC_TAIL}"
+        "merge order\n.option reltol=1e-2\n.option reltol=4e-3 limiting=off\n.option limiting=on\n{RC_TAIL}"
     ));
     assert_eq!(d.transient_options().rel_tol, 4e-3);
-    assert!(!d.newton_options().bypass, "bypass=off must override on");
+    assert!(d.newton_options().limiting, "limiting=on must override off");
 }
 
 #[test]
 fn display_round_trips_the_canonical_form() {
     let d = deck(&format!(
-        "round trip\n.option reltol=1e-2 bypass=1 limiting=0\n{RC_TAIL}"
+        "round trip\n.option reltol=1e-2 limiting=0\n{RC_TAIL}"
     ));
     let rendered = d.to_string();
     assert!(
-        rendered.contains(".option reltol=1e-2 bypass=1 limiting=0"),
+        rendered.contains(".option reltol=1e-2 limiting=0"),
         "canonical text missing from:\n{rendered}"
     );
     let again = deck(&rendered);
@@ -78,7 +80,6 @@ fn unknown_keys_and_bad_values_are_rejected_with_location() {
     for (body, needle) in [
         (".option gmin=1e-12", "gmin"),
         (".option reltol=-1", "reltol"),
-        (".option bypass=maybe", "bypass"),
         (".option limiting=maybe", "limiting"),
         (".option", ".option"),
     ] {
@@ -108,19 +109,20 @@ fn reltol_reaches_the_adaptive_stepper() {
     );
 }
 
-/// `solver`, `bypassvtol`, `armijo_c1` and `ptc` are not keys: there is
-/// one linear solver, and the bypass tolerance, the Armijo constant and
-/// the rescue ladder are engine constants. Each is rejected like any
-/// unknown option, with the list of accepted keys.
+/// `solver`, `bypass`, `bypassvtol`, `armijo_c1` and `ptc` are not
+/// keys: there is one linear solver and one Newton path with no device
+/// bypass, and the Armijo constant and the rescue ladder are engine
+/// constants. Each is rejected like any unknown option, with the list
+/// of accepted keys.
 #[test]
 fn solver_is_an_unknown_option() {
-    for key in ["solver", "bypassvtol", "armijo_c1", "ptc"] {
+    for key in ["solver", "bypass", "bypassvtol", "armijo_c1", "ptc"] {
         let err = Deck::parse(&format!("gone\n.option {key}=1\n{RC_TAIL}"))
             .expect_err(key)
             .to_string();
         assert!(
             err.contains(&format!(
-                "unknown option '{key}'; .option accepts reltol, abstol, dtmin, bypass, limiting"
+                "unknown option '{key}'; .option accepts reltol, abstol, dtmin, limiting"
             )),
             "{err}"
         );

@@ -125,6 +125,5 @@ fn torture_decks_keep_their_iteration_counters() {
             s.armijo_backtracks * devices,
             "{name}: one residual-only evaluation per device per backtrack"
         );
-        assert_eq!(s.device_bypasses, 0, "{name}: bypass is off");
     }
 }
