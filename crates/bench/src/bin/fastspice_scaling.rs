@@ -24,17 +24,23 @@
 //!
 //! Asserted, not hoped for (at ≥ 1000 gates): config B recomputes
 //! strictly fewer columns and spends strictly fewer factor ops than
-//! config A (counter-verified from `TransientStats`).
+//! config A (counter-verified from `TransientStats`), and the sparse
+//! LU plan of the array's transient Jacobian stores at most 1.25 × its
+//! nnz L+U entries (measured through `NewtonEngine::assemble` with a
+//! `TransientStamp`, then `SparseLu::factor`, at the run's first
+//! backward-Euler step).
 //!
 //! Pass an optional gate-count argument to resize the array (below
 //! 1000 gates the bitwise and partial-path assertions still run but
-//! the two scaling criteria are reported without being enforced; CI
+//! the three scaling criteria are reported without being enforced; CI
 //! runs the default).
 
 use cntfet_bench::paper_device;
+use cntfet_circuit::element::{AnalysisMode, TransientStamp};
 use cntfet_circuit::prelude::*;
 use cntfet_circuit::transient::TransientOptions;
 use cntfet_core::CompactCntFet;
+use cntfet_numerics::sparse::SparseLu;
 use std::sync::Arc;
 
 const STAGES: usize = 8;
@@ -42,7 +48,7 @@ const STAGES: usize = 8;
 /// ~12% activity factor of a realistic digital block.
 const ACTIVITY_DIV: usize = 8;
 
-fn array_circuit(gates: usize) -> (Circuit, f64) {
+fn array_circuit(gates: usize) -> Circuit {
     let model = Arc::new(CompactCntFet::model2(paper_device(300.0, -0.32)).expect("model 2 fit"));
     let tech = CntTechnology::symmetric(model, 0.8);
     let rows = gates.div_ceil(STAGES).max(1);
@@ -79,7 +85,7 @@ fn array_circuit(gates: usize) -> (Circuit, f64) {
             vdd,
         );
     }
-    (ckt, tech.vdd)
+    ckt
 }
 
 struct Config {
@@ -136,13 +142,26 @@ fn print_run(r: &Run) {
     );
 }
 
+/// The transient Jacobian at the first backward-Euler step from `prev`
+/// to `x` and its sparse LU plan: (Jacobian nnz, plan L+U entries,
+/// plan factor ops).
+fn transient_plan(circuit: &Circuit, prev: &[f64], x: &[f64], dt: f64) -> (usize, usize, u64) {
+    let mut engine = NewtonEngine::new(NewtonOptions::transient());
+    let mode = AnalysisMode::Transient(TransientStamp::backward_euler(dt, dt, prev));
+    let (_, j) = engine.assemble(circuit, x, &mode, 0.0);
+    let mut lu = SparseLu::<f64>::new();
+    lu.factor(j.pattern(), j.values())
+        .expect("the transient Jacobian factors");
+    (j.nnz(), lu.factor_nnz(), lu.factor_ops())
+}
+
 fn main() {
     let gates = std::env::args()
         .nth(1)
         .map(|a| a.parse::<usize>().expect("gate count must be an integer"))
         .unwrap_or(1000);
     let (t_stop, dt) = (2e-9, 10e-12);
-    let (probe, _) = array_circuit(gates);
+    let probe = array_circuit(gates);
     let unknowns = probe.unknown_count();
     let devices = probe.device_count();
     let rows = gates.div_ceil(STAGES).max(1);
@@ -181,7 +200,7 @@ fn main() {
     let runs: Vec<Run> = configs
         .iter()
         .map(|cfg| {
-            let (ckt, _) = array_circuit(gates);
+            let ckt = array_circuit(gates);
             let r = run_config(ckt, cfg, t_stop, dt);
             print_run(&r);
             r
@@ -203,6 +222,13 @@ fn main() {
     assert!(
         b.stats.counters.partial_refactorizations > 0,
         "config B must actually take the partial path"
+    );
+
+    let (nnz, lu_nnz, lu_ops) = transient_plan(&probe, &b.states[0], &b.states[1], dt);
+    let fill_ratio = lu_nnz as f64 / nnz as f64;
+    println!(
+        "\ntransient Jacobian: {nnz} entries; LU plan: {lu_nnz} L+U entries \
+         ({fill_ratio:.2}x), {lu_ops} ops"
     );
 
     let (ca, cb) = (&a.stats.counters, &b.stats.counters);
@@ -228,6 +254,11 @@ fn main() {
              {} vs {}",
             cb.factor_ops,
             ca.factor_ops
+        );
+        assert!(
+            fill_ratio <= 1.25,
+            "the transient LU plan must store at most 1.25x the Jacobian's entries: \
+             {lu_nnz} L+U entries for {nnz}"
         );
         println!("\nok: partial refactorization beats full replay at {gates} gates");
     } else {

@@ -539,20 +539,23 @@ mod tests {
         assert_eq!(s.frequencies, res.len());
         assert_eq!(c.factorizations as usize, s.frequencies);
         assert_eq!(c.symbolic_factorizations, 1, "ordered once");
-        // The capacitor's row dirties every step of this 3-unknown
-        // system, so each later frequency takes the full replay (the
-        // partial one would replay the same steps at a higher cost).
+        // With no reserved slot on the source's constraint row the
+        // 3-unknown system is a permuted triangle: the plan eliminates
+        // no entry, and the capacitor's ω-dependent slot dirties only
+        // its own row's step, which no other step reads. So each later
+        // frequency replays one of the three steps on the partial path.
+        assert_eq!(c.replay_refactorizations, 0);
         assert_eq!(
-            c.replay_refactorizations as usize,
+            c.partial_refactorizations as usize,
             s.frequencies - 1,
-            "every later frequency replays the plan"
+            "every later frequency takes the partial path"
         );
-        assert_eq!(c.partial_refactorizations, 0);
-        assert!(
-            c.columns_recomputed <= c.columns_total,
-            "partial path recomputes at most every column"
+        assert_eq!(
+            (c.columns_recomputed, c.columns_total),
+            (3 + 15, 3 * 16),
+            "all 3 steps once, then 1 step at each of 15 later frequencies"
         );
-        assert!(s.jacobian_nnz > 0 && c.factor_ops > 0);
+        assert_eq!((s.jacobian_nnz, c.factor_ops), (6, 0));
     }
 
     #[test]

@@ -369,11 +369,14 @@ impl fmt::Display for ConvergenceReport {
 }
 
 /// Temporary pseudo-transient regularization applied by a rescue stage:
-/// adds `g·(x[i] − anchor[i])` to every masked row, folded into the
-/// reserved diagonal slots. The mask is frozen once per rescue (node
-/// rows whose dynamic loading is below the initial [`PTC_G0`]) so the
-/// critical weakly-loaded row cannot drop out of the regularized set
-/// as `g` ramps down past its tiny-but-nonzero companion load.
+/// adds `g·(x[i] − anchor[i])` to every masked node row, folded into the
+/// node rows' reserved diagonal slots. The mask covers node rows only —
+/// element rows have no reserved diagonal, and
+/// [`NewtonEngine::assemble_into`] never reads the mask past the node
+/// count. It is frozen once per rescue (node rows whose dynamic loading
+/// is below the initial [`PTC_G0`]) so the critical weakly-loaded row
+/// cannot drop out of the regularized set as `g` ramps down past its
+/// tiny-but-nonzero companion load.
 struct PtcTerm<'a> {
     g: f64,
     anchor: &'a [f64],
@@ -678,9 +681,11 @@ impl NewtonEngine {
     /// residual-only pass runs the same stamps against an [`Mna`]
     /// without a Jacobian target: devices evaluate values only, and the
     /// assembler — with the last assembled Jacobian — is left
-    /// untouched. `ptc` (only `Some` inside a pseudo-transient rescue
-    /// stage) adds its diagonal regularization through the reserved
-    /// gmin slots.
+    /// untouched. Every pass also writes the structural diagonal of each
+    /// node row, the slots through which the gmin leak and `ptc` (only
+    /// `Some` inside a pseudo-transient rescue stage) add their
+    /// regularization; element rows hold exactly what their elements
+    /// stamp.
     fn assemble_into(
         &mut self,
         circuit: &Circuit,
@@ -704,17 +709,23 @@ impl NewtonEngine {
         for (e, &base) in circuit.elements().iter().zip(&cache.bases) {
             e.stamp(x, base, mode, &mut mna);
         }
-        // Structural diagonal: reserves every (i, i) slot so the gmin
-        // ramp, the pseudo-transient regularization and the pivot search
+        // Structural diagonal on node rows: reserves every node's (i, i)
+        // slot so the gmin ramp and the pseudo-transient regularization
         // always have a diagonal to write to, regardless of which values
         // recorded the pattern. A gmin leak from every node to ground
         // keeps the matrix non-singular while far from convergence; the
-        // pseudo-transient term adds `g·(x − anchor)` on masked rows.
-        // Every pass issues one add() per diagonal in the same order, so
-        // the tracked write sequence never changes.
+        // pseudo-transient term adds `g·(x − anchor)` on masked node
+        // rows. Element rows get no reserved slot: nothing writes one,
+        // a CNFET stamps its own Σ diagonal, and a source's constraint
+        // row has no diagonal at all — a reserved zero there would make
+        // the pivoting elimination, which updates even by a zero
+        // multiplier to keep the plan value-independent, copy whichever
+        // node row pivots the branch column into it as fill. Every pass
+        // issues one add() per node diagonal in the same order, so the
+        // tracked write sequence never changes.
         let nodes = circuit.node_count();
-        for (i, &xi) in x.iter().enumerate().take(cache.unknowns) {
-            let base = if i < nodes && gmin > 0.0 { gmin } else { 0.0 };
+        let base = if gmin > 0.0 { gmin } else { 0.0 };
+        for (i, &xi) in x.iter().enumerate().take(nodes) {
             let (reg, anchor) = match ptc {
                 Some(p) if p.mask[i] => (p.g, p.anchor[i]),
                 _ => (0.0, 0.0),
@@ -1776,6 +1787,40 @@ mod tests {
         assert!(total.partial_refactorizations > 0);
     }
 
+    #[test]
+    fn structural_diagonal_is_reserved_on_node_rows_only() {
+        // Every node row gets its (i, i) slot from the engine and every
+        // CNFET Σ row from the device's own stamp; a voltage source's
+        // branch (constraint) row has no diagonal in either kind's
+        // pattern.
+        use crate::element::TransientStamp;
+        let c = mixed_netlist(1, &[1e3, 1e3], 0.8, 0.0);
+        let x = vec![0.0; c.unknown_count()];
+        let tran = AnalysisMode::Transient(TransientStamp::backward_euler(1e-11, 1e-11, &x));
+        let mut engine = NewtonEngine::new(NewtonOptions::default());
+        for mode in [AnalysisMode::Dc, tran] {
+            let (_, j) = engine.assemble(&c, &x, &mode, 0.0);
+            let p = j.pattern();
+            for i in 0..c.node_count() {
+                assert!(p.slot(i, i).is_some(), "node row {i} has no diagonal");
+            }
+            let (mut sigma_rows, mut branch_rows) = (0, 0);
+            for (e, &base) in c.elements().iter().zip(&c.extra_var_bases()) {
+                if e.extra_vars() == 0 {
+                    continue;
+                }
+                if e.is_source() {
+                    assert_eq!(p.slot(base, base), None, "{} branch row", e.name());
+                    branch_rows += 1;
+                } else {
+                    assert!(p.slot(base, base).is_some(), "{} Σ row", e.name());
+                    sigma_rows += 1;
+                }
+            }
+            assert_eq!((sigma_rows, branch_rows), (2, 2));
+        }
+    }
+
     /// The random netlists of `tests/fastspice.rs`: an inverter chain
     /// driven by a pulse edge, a capacitively loaded resistor ladder off
     /// its last output, and a current-source disturbance.
@@ -1852,7 +1897,9 @@ mod tests {
             let c = sim.circuit();
             let devices = c.device_count() as u64;
             let n = c.unknown_count();
-            let mask: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+            // Node rows only, as `ptc_rescue` builds it.
+            let nodes = c.node_count();
+            let mask: Vec<bool> = (0..n).map(|i| i < nodes && i % 3 != 1).collect();
             let mut engine = NewtonEngine::new(NewtonOptions::default());
             let states = &run.result.states;
             for (k, pair) in states.windows(2).enumerate() {

@@ -923,7 +923,11 @@ mod tests {
             "adaptive should be coarse: {} steps",
             run.stats.accepted
         );
-        assert!(run.stats.counters.factorizations > 0 && run.stats.counters.factor_ops > 0);
+        // With no reserved slot on the source's constraint row the
+        // 3-unknown RC system is a permuted triangle: its plan
+        // eliminates no entry, so no factorisation costs an op.
+        assert!(run.stats.counters.factorizations > 0);
+        assert_eq!(run.stats.counters.factor_ops, 0);
     }
 
     #[test]

@@ -150,12 +150,18 @@ fn cnfet_chain_pattern_ordered_once_per_sweep() {
         s.frequencies as u64 - 1,
         "all later frequencies re-value the frozen pattern"
     );
-    // Every CNFET row carries a capacitive (ω-dependent) slot, so each
-    // later frequency dirties more elimination steps than the solver's
-    // partial-replay crossover and takes the cheaper full replay.
+    // Every CNFET row carries a capacitive (ω-dependent) slot, but the
+    // plan keeps their reach short: a later frequency dirties 10 of the
+    // 28 elimination steps, below the solver's partial-replay
+    // crossover, so every later frequency takes the partial path.
     assert_eq!(
-        c.partial_refactorizations, 0,
-        "capacitive slots on every device row make the full replay cheaper"
+        (c.replay_refactorizations, c.partial_refactorizations),
+        (0, 35),
+        "each of the 35 later frequencies replays only its dirty steps"
+    );
+    assert_eq!(
+        (c.columns_recomputed, c.columns_total),
+        (28 + 35 * 10, 28 * 36)
     );
     // A second sweep on the same session orders its own plan once more
     // (fresh complex solver per sweep) but reuses the engine's real

@@ -14,9 +14,11 @@
 //!   kept as the reference that tests and benches compare against, and
 //!   [`SparseLuSolver`], the circuit engine's solver: a sparse LU whose
 //!   pivot order and fill-in pattern are chosen once (Markowitz-style
-//!   threshold pivoting) and then **reused across factorizations** —
-//!   subsequent factors replay the elimination over the frozen pattern
-//!   with a dense scatter workspace, KLU-style.
+//!   threshold pivoting on row-equilibrated magnitudes, so MNA rows on
+//!   different unit scales — KCL rows in S, CNFET charge balances in
+//!   C/m — compete for pivots on equal terms) and then **reused across
+//!   factorizations** — subsequent factors replay the elimination over
+//!   the frozen pattern with a dense scatter workspace, KLU-style.
 //!
 //! Both solvers count the multiply–accumulate/divide operations of their
 //! most recent factorisation ([`LinearSolver::factor_ops`]), so the
@@ -1150,11 +1152,17 @@ impl LuScalar for Complex {
 /// elimination with Markowitz-style threshold pivoting (prefer short
 /// rows among candidates whose pivot magnitude is within
 /// `PIVOT_THRESHOLD` of the column maximum) and records the pivot order
-/// plus the complete fill-in pattern. Later factorisations of the *same*
-/// pattern replay the elimination over the frozen structure with a dense
-/// scatter workspace — no pivot search, no pattern discovery, no
-/// allocation. If a frozen pivot collapses numerically the solver
-/// transparently redoes the pivoting factorisation.
+/// plus the complete fill-in pattern. The pivot search compares
+/// row-equilibrated magnitudes `|a_rk| / max_j |a_rj|`, each row scaled
+/// once by its largest incoming entry as in KLU (Davis & Palamadai
+/// Natarajan, ACM TOMS 2010), so a short row whose entries are small in
+/// absolute units can pivot its own column instead of inheriting a long
+/// row's pattern as fill; the factors themselves are of the unscaled
+/// matrix. Later factorisations of the *same* pattern replay the
+/// elimination over the frozen structure with a dense scatter
+/// workspace — no pivot search, no pattern discovery, no allocation.
+/// If a frozen pivot collapses numerically the solver transparently
+/// redoes the pivoting factorisation.
 ///
 /// For real systems assembled as [`CsrMatrix`], use the
 /// [`SparseLuSolver`] wrapper (which implements [`LinearSolver`]); use
@@ -1271,8 +1279,9 @@ impl<T> Elimination<T> {
     }
 }
 
-/// Relative magnitude a candidate pivot must reach (vs the column
-/// maximum) to be eligible for the Markowitz tie-break.
+/// Relative magnitude a candidate pivot must reach (row-equilibrated,
+/// vs the column's largest row-equilibrated magnitude) to be eligible
+/// for the Markowitz tie-break.
 const PIVOT_THRESHOLD: f64 = 1e-3;
 
 /// A frozen pivot smaller than this fraction of its row's U-part maximum
@@ -1281,12 +1290,14 @@ const REPIVOT_RATIO: f64 = 1e-12;
 
 /// Share of elimination steps at or above which a partial
 /// refactorisation runs the full replay instead of replaying only the
-/// dirty steps. Measured on the 3 004-unknown ring-array and inverter-
-/// array Jacobians (release build, 2-core x86-64 host) inside their
-/// transient runs: a full replay costs about 57 ns per step and a
-/// partial one about 80 ns per replayed step (it resets each dirty row
-/// on its own and walks the scattered step set), so the partial path
-/// stops paying off at 57 / 80 ≈ 0.7 of the steps.
+/// dirty steps. Measured on the transient plan of the 1000-gate ring
+/// array (`cntfet-gen ring-array 125 8` with `.tran 2n`: 3 004
+/// unknowns, 17 631 L+U entries) inside its run, in three paired runs
+/// (release build, 2-core x86-64 host): a full replay costs 46–66 ns
+/// per step and a partial one 83–96 ns per replayed step (it resets
+/// each dirty row on its own and walks the scattered step set), so the
+/// partial path stops paying off at 0.55–0.7 of the steps. At this
+/// share the two replays cost the same within the host's noise.
 const PARTIAL_REPLAY_MAX_SHARE: f64 = 0.7;
 
 impl<T: LuScalar> SparseLu<T> {
@@ -1475,14 +1486,17 @@ impl<T: LuScalar> SparseLu<T> {
         pattern: &Arc<SparsityPattern>,
         values: &[T],
     ) -> Result<(), NumericsError> {
+        let scale = Self::row_scales(pattern, values);
         let plan = match self.ordering {
             FillOrdering::AscendingDegree => {
-                Self::eliminate(pattern, values, ascending_degree_order(pattern))?
+                Self::eliminate(pattern, values, &scale, ascending_degree_order(pattern))?
             }
-            FillOrdering::AmdBtf => Self::eliminate(pattern, values, btf_amd_order(pattern))?,
+            FillOrdering::AmdBtf => {
+                Self::eliminate(pattern, values, &scale, btf_amd_order(pattern))?
+            }
             FillOrdering::Auto => {
-                let st = Self::eliminate(pattern, values, ascending_degree_order(pattern));
-                let amd = Self::eliminate(pattern, values, btf_amd_order(pattern));
+                let st = Self::eliminate(pattern, values, &scale, ascending_degree_order(pattern));
+                let amd = Self::eliminate(pattern, values, &scale, btf_amd_order(pattern));
                 match (st, amd) {
                     (Ok(a), Ok(b)) => {
                         if b.fill_nnz() < a.fill_nnz() {
@@ -1501,13 +1515,44 @@ impl<T: LuScalar> SparseLu<T> {
         Ok(())
     }
 
+    /// Row-equilibration factors of the pivot search: `1 / max_j |a_rj|`
+    /// over each row of the incoming matrix, or 1 for a row whose
+    /// maximum is zero or not finite (the pivot search then sees that
+    /// row's raw magnitudes).
+    fn row_scales(pattern: &SparsityPattern, values: &[T]) -> Vec<f64> {
+        (0..pattern.rows())
+            .map(|r| {
+                let max = values[pattern.row_range(r)]
+                    .iter()
+                    .fold(0.0f64, |m, v| m.max(v.modulus()));
+                let s = 1.0 / max;
+                if s.is_finite() && s > 0.0 {
+                    s
+                } else {
+                    1.0
+                }
+            })
+            .collect()
+    }
+
     /// Right-looking elimination with Markowitz-style threshold
     /// pivoting under the given column pre-ordering; pure (no solver
     /// state touched) so the ordering-selection layer can race
     /// candidates.
+    ///
+    /// The pivot search compares row-equilibrated magnitudes
+    /// `|a_rk|·scale[r]` (`scale` from [`SparseLu::row_scales`], taken
+    /// once from the incoming rows): the column maximum, the
+    /// `PIVOT_THRESHOLD` eligibility test and the magnitude tie-break
+    /// all read them, so a short row whose entries are all small in
+    /// absolute terms (an MNA charge balance in C/m beside KCL rows in
+    /// S) can still pivot its own column. The arithmetic itself stays
+    /// unscaled, so the recorded factors — and every replay of them —
+    /// are those of the matrix as given.
     fn eliminate(
         pattern: &Arc<SparsityPattern>,
         values: &[T],
+        scale: &[f64],
         col_order: Vec<usize>,
     ) -> Result<Elimination<T>, NumericsError> {
         let n = pattern.rows();
@@ -1540,7 +1585,7 @@ impl<T: LuScalar> SparseLu<T> {
         let mut perm = Vec::with_capacity(n);
         let mut ops: u64 = 0;
         for k in 0..n {
-            // Candidate scan: largest magnitude in column k.
+            // Candidate scan: largest scaled magnitude in column k.
             let mut maxabs = 0.0f64;
             for &r in &col_rows[k] {
                 if pivoted[r] {
@@ -1549,7 +1594,7 @@ impl<T: LuScalar> SparseLu<T> {
                 let i = rows[r]
                     .binary_search_by_key(&k, |e| e.0)
                     .expect("structural entry");
-                maxabs = maxabs.max(rows[r][i].1.modulus());
+                maxabs = maxabs.max(rows[r][i].1.modulus() * scale[r]);
             }
             if maxabs == 0.0 || !maxabs.is_finite() {
                 return Err(NumericsError::SingularMatrix { pivot: k });
@@ -1564,7 +1609,7 @@ impl<T: LuScalar> SparseLu<T> {
                 let i = rows[r]
                     .binary_search_by_key(&k, |e| e.0)
                     .expect("structural entry");
-                let mag = rows[r][i].1.modulus();
+                let mag = rows[r][i].1.modulus() * scale[r];
                 if mag >= PIVOT_THRESHOLD * maxabs {
                     let len = rows[r].len();
                     let better = best
@@ -2629,6 +2674,59 @@ mod tests {
             for (rr, bb) in resid.iter().zip(&b) {
                 assert!((rr - bb).abs() < 1e-10, "{ordering:?}: {rr} vs {bb}");
             }
+        }
+    }
+
+    /// A charge-balance row in C/m (row 0, two entries) sharing column 0
+    /// with two longer KCL rows in S. On raw magnitudes row 0 is not
+    /// eligible there (3e-10 is far below `PIVOT_THRESHOLD` × 1e-3), so
+    /// a KCL row pivots column 0 and row 0 inherits its tail as fill.
+    /// Row-equilibrated, row 0 is eligible and, being shortest, pivots
+    /// column 0 itself; its tail (column 1) is already in both KCL rows.
+    fn mixed_scale_rows() -> CsrMatrix {
+        csr_from_dense(&[
+            &[3e-10, -1e-10, 0.0, 0.0],
+            &[-1e-3, 3e-3, -1e-3, -1e-3],
+            &[-1e-3, -1e-3, 3e-3, -1e-3],
+            &[0.0, -1e-3, -1e-3, 2e-3],
+        ])
+    }
+
+    #[test]
+    fn row_equilibrated_pivoting_adds_no_fill_on_mixed_scale_rows() {
+        let a = mixed_scale_rows();
+        let b = a.mul_vec(&[1.0, -2.0, 0.5, 3.0]);
+        let mut sparse = SparseLuSolver::new();
+        let xs = sparse.solve(&a, &b).expect("sparse solve");
+        assert_eq!(sparse.factor_nnz(), a.nnz(), "the plan adds no fill");
+        let xd = DenseLuSolver::new().solve(&a, &b).expect("dense solve");
+        let scale = xd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (s, d) in xs.iter().zip(&xd) {
+            assert!((s - d).abs() <= 1e-12 * scale, "{s} vs {d}");
+        }
+    }
+
+    #[test]
+    fn complex_row_equilibrated_pivoting_adds_no_fill_on_mixed_scale_rows() {
+        // The same matrix times a unit-modulus phase c: the pivot search
+        // reads `modulus`, so the plan is the real one, and
+        // (c·A)⁻¹ b = A⁻¹ b / c.
+        let a = mixed_scale_rows();
+        let b = a.mul_vec(&[1.0, -2.0, 0.5, 3.0]);
+        let c = Complex::new(0.6, 0.8);
+        let vals: Vec<Complex> = a.values().iter().map(|&v| c * Complex::from(v)).collect();
+        let rhs: Vec<Complex> = b.iter().map(|&v| Complex::from(v)).collect();
+        let mut lu = SparseLu::<Complex>::new();
+        lu.factor(a.pattern(), &vals).expect("complex factor");
+        assert_eq!(lu.factor_nnz(), a.nnz(), "the plan adds no fill");
+        let x = lu.solve_factored(&rhs).expect("complex solve");
+        let xd = DenseLuSolver::new().solve(&a, &b).expect("dense solve");
+        let scale = xd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (s, &d) in x.iter().zip(&xd) {
+            assert!(
+                (*s * c - Complex::from(d)).abs() <= 1e-12 * scale,
+                "{s} vs {d}"
+            );
         }
     }
 
