@@ -10,8 +10,16 @@
 //! `ring_oscillator` were regenerated once, deliberately, when their
 //! small systems moved from the dense LU to the sparse one; `adder2`
 //! and `ring_array_40x8` were regenerated once, deliberately, when the
-//! Armijo test began measuring decrease along the limited step. The
-//! partial path must replay the exact arithmetic of the full path on
+//! Armijo test began measuring decrease along the limited step. All
+//! four were regenerated once more, deliberately, when the sparse LU
+//! began choosing pivots on row-equilibrated magnitudes and the engine
+//! stopped reserving diagonals on element rows, because a new
+//! elimination plan rounds differently: `adder2` moved by at most
+//! 1.6e-14 V and `ring_array_40x8` by 1.6e-17 V, both on their old
+//! time grids, while the adaptive grids of `ring_oscillator` (5.3e-9 V
+//! row by row) and `inverter` (0.86 mV interpolated onto the old grid;
+//! its `.dc` and `.ac` cards within 1e-10) moved. The partial path
+//! must replay the exact arithmetic of the full path on
 //! the columns it recomputes and reuse the rest verbatim, so `Deck::run`
 //! probe output — rendered through the round-tripping `to_csv` — must
 //! not move by even one ULP. A diff here means the "partial
@@ -113,7 +121,7 @@ fn adder2_matches_golden_bitwise() {
 }
 
 /// Generated-scale guard: `cntfet-gen ring-array 40 8` (320 gates, two
-/// levels of hierarchy) runs 18 of its 258 factorizations on the
+/// levels of hierarchy) runs 107 of its 258 factorizations on the
 /// partial-refactorization path and the rest as full replays, so the
 /// bitwise contract is checked on a generated deck that exercises both
 /// replay paths, not only on the small decks.
