@@ -58,7 +58,10 @@
 //!   limiting or a rescue stage's step cap scaled by `s` must cut
 //!   `‖F‖∞` by `c₁·α·s·‖F‖∞`, and an unscaled step (`s` exactly 1)
 //!   keeps the historical halving rule bit for bit;
-//! * the rescue ladder, which is always armed.
+//! * the rescue ladder, which is always armed: a plain solve that
+//!   stalls or exhausts its budget hands over to pseudo-transient
+//!   continuation and then gmin stepping, and every rescue stage, like
+//!   the plain solve, ends at its first stall.
 
 use crate::dc::Solution;
 use crate::element::{AnalysisMode, Mna};
@@ -389,14 +392,11 @@ struct PtcTerm<'a> {
 enum LoopExit {
     /// Converged after this many iterations.
     Converged(usize),
-    /// The stagnation window fired (see `run_newton_loop`) with no
-    /// breakout left: the residual has been flat, and not monotonically
-    /// falling, for [`STALL_WINDOW`] accepted iterates. Carries the
+    /// Stalled — the residual has been flat, and not monotonically
+    /// falling, for [`STALL_WINDOW`] accepted iterates (see
+    /// `run_newton_loop`) — or ran out of iteration budget. Carries the
     /// iterations spent.
-    Stalled(usize),
-    /// The iteration budget ran out without convergence or a stall.
-    /// Carries the budget spent.
-    Exhausted(usize),
+    Failed(usize),
 }
 
 /// Hard cap on the per-iteration step infinity norm *inside
@@ -456,17 +456,6 @@ const STALL_WINDOW: usize = 24;
 /// as stagnant. The observed limit cycles drift by ~1e-6 relative per
 /// period; healthy Newton progress is orders of magnitude faster.
 const STALL_RTOL: f64 = 1e-5;
-
-/// Nonmonotone breakout steps a *rescue* stage may spend before its
-/// stall detector is allowed to end the stage. The Armijo condition's
-/// monotone-decrease demand can trap the iterate at a residual ridge —
-/// a local minimum of ‖f‖ where the root lies on the far side and
-/// every damped step is rejected down to the smallest trial. A
-/// breakout accepts the full (limited, capped) Newton step without the
-/// sufficient-decrease test, letting the residual rise temporarily to
-/// cross the ridge. Plain solves never break out, so converging decks
-/// stay bitwise-identical.
-const NEWTON_BREAKOUTS: usize = 3;
 
 /// The reusable damped-Newton core.
 ///
@@ -802,14 +791,14 @@ impl NewtonEngine {
     /// Every solve detects stalls: **non-monotone stagnation** —
     /// [`STALL_WINDOW`] consecutive accepted iterates whose residual
     /// norm changes by less than [`STALL_RTOL`] relatively, at least
-    /// one of them an *increase* — exits [`LoopExit::Stalled`] rather
+    /// one of them an *increase* — exits [`LoopExit::Failed`] rather
     /// than burning the rest of the budget. This catches the practical
     /// limit cycle that oscillates between two points with a slow
     /// last-bit drift; the increase requirement keeps a slowly
     /// *converging* crawl (monotone decrease) from ever tripping it.
     ///
-    /// A `rescue` stage also caps each step at [`PTC_STEP_CAP`] and may
-    /// spend [`NEWTON_BREAKOUTS`] before a stall ends it.
+    /// A `rescue` stage also caps each step at [`PTC_STEP_CAP`]; its
+    /// first stall ends it, as it ends the plain solve.
     fn run_newton_loop(
         &mut self,
         circuit: &Circuit,
@@ -828,10 +817,6 @@ impl NewtonEngine {
         let mut stagnant = 0usize;
         let mut saw_increase = false;
         let mut prev_fnorm = fnorm;
-        // Rescue stages may escape a residual ridge a few times before
-        // the stall detector ends the stage (see [`NEWTON_BREAKOUTS`]).
-        let mut breakouts = if rescue { NEWTON_BREAKOUTS } else { 0 };
-        let mut force_full = false;
         // Set when the accepted trial was assembled residual-only.
         let mut jacobian_stale = false;
         for it in 0..max_iter {
@@ -936,7 +921,6 @@ impl NewtonEngine {
             // scaled step; adopt the final (smallest) trial
             // unconditionally.
             let mut alpha = 1.0;
-            let unconditional = std::mem::take(&mut force_full);
             for h in 0..=MAX_STEP_HALVINGS {
                 for ((t, &xi), &di) in trial.iter_mut().zip(x.iter()).zip(&dx) {
                     *t = xi + alpha * di;
@@ -944,9 +928,8 @@ impl NewtonEngine {
                 let full = h == 0;
                 self.assemble_into(circuit, &trial, mode, gmin, ptc, full);
                 let tnorm = inf_norm(&self.residual);
-                let improved = unconditional
-                    || tnorm <= fnorm * (1.0 - ARMIJO_C1 * alpha * step_scale)
-                    || tnorm < 1e-18;
+                let improved =
+                    tnorm <= fnorm * (1.0 - ARMIJO_C1 * alpha * step_scale) || tnorm < 1e-18;
                 if improved || h == MAX_STEP_HALVINGS {
                     if !improved {
                         self.counters.armijo_exhaustions += 1;
@@ -959,34 +942,22 @@ impl NewtonEngine {
                 alpha *= 0.5;
                 self.counters.armijo_backtracks += 1;
             }
-            let mut stalled = false;
             if (fnorm - prev_fnorm).abs() <= STALL_RTOL * prev_fnorm {
                 stagnant += 1;
                 saw_increase |= fnorm > prev_fnorm;
-                stalled = stagnant >= STALL_WINDOW && saw_increase;
+                if stagnant >= STALL_WINDOW && saw_increase {
+                    return Ok(LoopExit::Failed(it + 1));
+                }
             } else {
                 stagnant = 0;
                 saw_increase = false;
             }
             prev_fnorm = fnorm;
-            if stalled {
-                if breakouts == 0 {
-                    return Ok(LoopExit::Stalled(it + 1));
-                }
-                // Trapped at a residual ridge: spend a breakout — the
-                // next step is accepted at full length without the
-                // sufficient-decrease test — and rearm the detector for
-                // the new trajectory.
-                breakouts -= 1;
-                force_full = true;
-                stagnant = 0;
-                saw_increase = false;
-            }
         }
         if self.converged(circuit) {
             return Ok(LoopExit::Converged(max_iter));
         }
-        Ok(LoopExit::Exhausted(max_iter))
+        Ok(LoopExit::Failed(max_iter))
     }
 
     /// Runs one Newton solve from `x0` at the given analysis mode and
@@ -1030,7 +1001,7 @@ impl NewtonEngine {
                 // late. Either way the plain iteration has failed —
                 // historically a hard error — so the rescue can only
                 // fix decks, never perturb converging ones.
-                Ok(LoopExit::Stalled(it) | LoopExit::Exhausted(it)) => {
+                Ok(LoopExit::Failed(it)) => {
                     ptc_used = true;
                     self.rescue(circuit, &mut x, x0, mode, gmin, it)
                 }
@@ -1194,7 +1165,7 @@ impl NewtonEngine {
                     good = Some((g, x.to_vec()));
                     g = (g * factor).max(floor);
                 }
-                LoopExit::Stalled(it) | LoopExit::Exhausted(it) => {
+                LoopExit::Failed(it) => {
                     total += it;
                     // Back off: restore the last good rung and descend
                     // more gently from there. With no good rung yet, or
@@ -1312,7 +1283,7 @@ impl NewtonEngine {
                     fprev = fnow;
                     continue;
                 }
-                Ok(LoopExit::Stalled(it) | LoopExit::Exhausted(it)) => it,
+                Ok(LoopExit::Failed(it)) => it,
                 // A stage stiff enough to go singular is abandoned, not
                 // fatal: restore and stiffen like any failure.
                 Err(CircuitError::SingularSystem(_)) => 0,

@@ -28,8 +28,10 @@ options:
             byte-for-byte
   -o FILE   write the deck to FILE instead of stdout
 
-The emitted deck parses, lints cleanly and runs through cntfet-sim;
-sizes below 1 are clamped to 1.";
+The emitted deck parses, lints cleanly and runs through cntfet-sim,
+except a shift register of 3 or more stages: its .tran card does not
+converge yet, failing once the fixed-grid substeps run out. Sizes below
+1 are clamped to 1.";
 
 /// Parses one positive size argument, exiting with usage on failure.
 fn parse_size(what: &str, text: Option<&String>) -> Result<usize, ExitCode> {

@@ -1,8 +1,8 @@
 //! Guard: the default configuration (partial refactorization and
 //! voltage limiting on) reproduces the golden results **bitwise** on
 //! every checked-in example deck and on a generated 320-gate ring
-//! array. The DC operating points of generated ring arrays also pin
-//! their Newton counters.
+//! array. The DC operating points of generated ring arrays and the
+//! `adder2` transient also pin their Newton counters.
 //!
 //! The golden CSVs under `tests/golden/` are `cntfet-sim --csv` output.
 //! `divider` and `rc_lowpass` date from before the
@@ -26,17 +26,18 @@
 //! refactorization is exact, not approximate" invariant broke.
 
 use cntfet::circuit::deck::generate::Workload;
-use cntfet::circuit::deck::Deck;
+use cntfet::circuit::deck::{AnalysisReport, Deck};
 use cntfet::circuit::engine::{ConvergenceReport, NewtonEngine, NewtonStrategy};
 
 fn repo_path(rel: &str) -> String {
     format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"))
 }
 
-fn run_csv(text: &str, what: &str) -> Vec<String> {
+fn run_reports(text: &str, what: &str) -> Vec<AnalysisReport> {
     let deck = Deck::parse(text).unwrap_or_else(|e| panic!("{what}:\n{e}"));
-    let run = deck.run().unwrap_or_else(|e| panic!("{what}:\n{e}"));
-    run.reports.iter().map(|r| r.to_csv()).collect()
+    deck.run()
+        .unwrap_or_else(|e| panic!("{what}:\n{e}"))
+        .reports
 }
 
 fn golden_csv(deck_name: &str) -> String {
@@ -48,22 +49,23 @@ fn golden_csv(deck_name: &str) -> String {
 /// per card), exactly as `cntfet-sim --csv` separates them; stitch the
 /// fresh reports the same way and compare the raw text — the CSV
 /// number formatting round-trips f64 exactly, so textual equality is
-/// bitwise equality of every probe sample.
-fn assert_bitwise_golden(deck_name: &str) {
+/// bitwise equality of every probe sample. Returns the fresh reports,
+/// so a test can pin their counters without a second run.
+fn assert_bitwise_golden(deck_name: &str) -> Vec<AnalysisReport> {
     let path = repo_path(&format!("examples/decks/{deck_name}.cir"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    assert_text_matches_golden(&text, deck_name);
+    assert_text_matches_golden(&text, deck_name)
 }
 
-fn assert_text_matches_golden(text: &str, deck_name: &str) {
+fn assert_text_matches_golden(text: &str, deck_name: &str) -> Vec<AnalysisReport> {
     let golden = golden_csv(deck_name);
-    let fresh = run_csv(text, deck_name);
+    let fresh = run_reports(text, deck_name);
     // Reconstruct the golden capture format: cards are concatenated in
     // source order. (Captured via `cntfet-sim --csv`, whose per-card
     // headers survive in the file.)
     let mut rebuilt = String::new();
-    for csv in &fresh {
-        rebuilt.push_str(csv);
+    for report in &fresh {
+        rebuilt.push_str(&report.to_csv());
     }
     // The capture tool also wrote the `* title` / `* card` banner
     // lines; strip comment lines from the golden before comparing.
@@ -89,6 +91,7 @@ fn assert_text_matches_golden(text: &str, deck_name: &str) {
              bitwise-identical to the golden"
         );
     }
+    fresh
 }
 
 #[test]
@@ -114,10 +117,28 @@ fn ring_oscillator_matches_seed_bitwise() {
 /// Hierarchical guard: a `.subckt`-based deck (two full adders built
 /// from nand2 cells, flattened by the parser) stays bitwise stable too
 /// — the flattener must keep producing the exact same circuit, node
-/// order included, or the transient arithmetic shifts.
+/// order included, or the transient arithmetic shifts. The same run
+/// pins the `.tran` card's Newton-ladder counters: its bare stack nodes
+/// converge only through the rescue ladder, so a change to any rung
+/// fails here by name.
 #[test]
 fn adder2_matches_golden_bitwise() {
-    assert_bitwise_golden("adder2");
+    let reports = assert_bitwise_golden("adder2");
+    let [tran] = reports.as_slice() else {
+        panic!("adder2: expected one card, got {}", reports.len());
+    };
+    let c = tran.stats;
+    assert_eq!(
+        (
+            c.factorizations,
+            c.armijo_backtracks,
+            c.limiter_clamps,
+            c.ptc_steps,
+            c.armijo_exhaustions
+        ),
+        (43_492, 146_906, 32_267, 1_464, 5_236),
+        "(factorizations, armijo_backtracks, limiter_clamps, ptc_steps, armijo_exhaustions)"
+    );
 }
 
 /// Generated-scale guard: `cntfet-gen ring-array 40 8` (320 gates, two

@@ -91,8 +91,8 @@ fn torture_decks_keep_their_iteration_counters() {
     // (deck, factorizations, armijo_backtracks, limiter_clamps,
     //  ptc_steps, armijo_exhaustions)
     const PINNED: [(&str, u64, u64, u64, u64, u64); 3] = [
-        ("nand_stack.cir", 21_062, 22_670, 16_065, 367, 912),
-        ("nor_stack.cir", 21_489, 18_777, 16_065, 374, 810),
+        ("nand_stack.cir", 20_197, 13_421, 15_200, 367, 570),
+        ("nor_stack.cir", 20_830, 11_765, 15_408, 374, 556),
         ("xgate_chain.cir", 164, 75, 0, 0, 0),
     ];
     let decks = torture_decks();
