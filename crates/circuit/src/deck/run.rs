@@ -30,7 +30,8 @@ use super::error::DeckError;
 use super::{AcCard, AcScale, AnalysisCard, AnalysisKind, DcCard, Deck, OpCard, TranCard};
 use crate::ac::{AcSweep, FreqGrid};
 use crate::engine::{EngineCounters, NewtonEngine};
-use crate::sim::{Simulator, TransientSpec};
+use crate::error::CircuitError;
+use crate::sim::{Probe, Simulator, TransientSpec};
 use std::fmt::Write as _;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -157,9 +158,8 @@ pub struct RunContext<'a> {
 
 /// A cooperative cancellation flag for [`Deck::run_streaming`]:
 /// raising it makes the run return a [`DeckError`] wrapping
-/// [`CircuitError::Cancelled`](crate::error::CircuitError::Cancelled)
-/// within one Newton iteration / accepted transient step / AC
-/// frequency point.
+/// [`CircuitError::Cancelled`] within one Newton iteration / accepted
+/// transient step / AC frequency point.
 pub type CancelFlag = Arc<AtomicBool>;
 
 /// One progress event of a [`Deck::run_streaming`] call, emitted in
@@ -235,8 +235,7 @@ impl Deck {
     /// # Errors
     ///
     /// As [`Deck::run`]; additionally, raising `cancel` aborts the run
-    /// with a [`DeckError`] wrapping
-    /// [`CircuitError::Cancelled`](crate::error::CircuitError::Cancelled).
+    /// with a [`DeckError`] wrapping [`CircuitError::Cancelled`].
     pub fn run_streaming(
         &self,
         ctx: &RunContext<'_>,
@@ -427,47 +426,27 @@ impl Deck {
             columns: columns.clone(),
         }));
         // Stream one row per accepted step straight from the solver's
-        // observer seam. The state slices the observer sees are the
-        // exact values the final report reads back through
-        // `run.voltage`, so streamed and collected rows are bitwise
-        // identical.
-        let unknown_of: Vec<Option<usize>> = probes
+        // observer seam and keep the same rows for the report: the card
+        // never holds more than its probe rows, and the streamed and
+        // collected rows are the same values.
+        let probe = Probe::from_circuit(sim.circuit());
+        let unknown_of = probes
             .iter()
-            .map(|node| {
-                sim.circuit()
-                    .find_node(node)
-                    .and_then(|n| n.unknown_index())
-            })
-            .collect();
-        let run = sim
-            .transient_observed(&spec, |t, x| {
-                let mut row = Vec::with_capacity(unknown_of.len() + 1);
-                row.push(t);
-                row.extend(unknown_of.iter().map(|i| i.map_or(0.0, |i| x[i])));
-                emit(RunEvent::Rows {
-                    index,
-                    rows: vec![row],
-                });
-            })
+            .map(|node| Ok(probe.node(node)?.unknown_index()))
+            .collect::<Result<Vec<Option<usize>>, CircuitError>>()
             .map_err(|e| card.origin.circuit_error(&e))?;
-        let mut waves = Vec::with_capacity(probes.len());
-        for node in &probes {
-            waves.push(
-                run.voltage(node)
-                    .map_err(|e| card.origin.circuit_error(&e))?,
-            );
-        }
-        let rows = run
-            .time()
-            .iter()
-            .enumerate()
-            .map(|(k, &t)| {
-                let mut row = Vec::with_capacity(columns.len());
-                row.push(t);
-                row.extend(waves.iter().map(|w| w[k]));
-                row
-            })
-            .collect();
+        let mut rows = Vec::new();
+        sim.transient_observed(&spec, |t, x| {
+            let mut row = Vec::with_capacity(columns.len());
+            row.push(t);
+            row.extend(unknown_of.iter().map(|i| i.map_or(0.0, |i| x[i])));
+            emit(RunEvent::Rows {
+                index,
+                rows: vec![row.clone()],
+            });
+            rows.push(row);
+        })
+        .map_err(|e| card.origin.circuit_error(&e))?;
         Ok((columns, rows))
     }
 

@@ -507,11 +507,6 @@ impl NewtonEngine {
         self.caches[self.active].as_ref()
     }
 
-    /// The options this engine runs with.
-    pub fn options(&self) -> &NewtonOptions {
-        &self.opts
-    }
-
     /// Replaces the engine's options in place. A long-lived engine (e.g.
     /// inside a [`crate::sim::Simulator`] session) uses this to honour
     /// per-analysis Newton settings without discarding its caches: the

@@ -43,9 +43,9 @@ use crate::engine::{NewtonEngine, NewtonOptions};
 use crate::error::CircuitError;
 use crate::netlist::{Circuit, NodeId};
 use crate::sweep::{sweep_core, SweepResult};
-use crate::transient::TransientRun;
 use crate::transient::{
-    transient_adaptive_core, transient_fixed_core, StepObserver, TransientOptions,
+    transient_adaptive_core, transient_fixed_core, TransientOptions, TransientResult, TransientRun,
+    TransientStats,
 };
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
@@ -509,21 +509,38 @@ impl Simulator {
     /// solution (a session that just ran `op()` pays only a
     /// convergence check).
     ///
+    /// The returned [`TransientRun`] keeps every accepted state of
+    /// every unknown, so its memory grows as unknowns × steps; use
+    /// [`Simulator::transient_observed`] to keep only what a caller
+    /// needs.
+    ///
     /// # Errors
     ///
     /// [`CircuitError::InvalidAnalysis`] for inconsistent options,
     /// [`CircuitError::TimestepTooSmall`] when adaptive stepping gives
     /// up, plus any solver failure.
     pub fn transient(&mut self, spec: &TransientSpec) -> Result<TransientRun, CircuitError> {
-        self.transient_core(spec, None)
+        let mut result = TransientResult {
+            time: Vec::new(),
+            states: Vec::new(),
+        };
+        let stats = self.transient_observed(spec, |t, x| {
+            result.time.push(t);
+            result.states.push(x.to_vec());
+        })?;
+        Ok(TransientRun::new(result, stats, &self.circuit))
     }
 
-    /// [`Simulator::transient`] with an incremental observer: `observe`
-    /// is called once per **accepted** step with the simulation time and
-    /// the full unknown vector, including the initial state at `t = 0`,
-    /// before the run completes — the streaming seam of the persistent
-    /// server. Rejected step attempts are never observed, so the
-    /// observed sequence equals the returned [`TransientRun`]'s points.
+    /// [`Simulator::transient`] without the collected waveform: `observe`
+    /// is called with the simulation time and the full unknown vector
+    /// at `t = 0` (the initial state) and then once per **accepted**
+    /// step, in strictly increasing time and ending exactly at
+    /// `spec.t_stop`, as the run progresses — the streaming seam of the
+    /// deck runner and the persistent server. Rejected step attempts
+    /// and fixed-grid substeps are never observed, so the observed
+    /// sequence is exactly the points [`Simulator::transient`] would
+    /// return, and `stats.accepted + 1` calls are made. The run keeps
+    /// only the integrator's history (at most three accepted states).
     ///
     /// # Errors
     ///
@@ -532,15 +549,7 @@ impl Simulator {
         &mut self,
         spec: &TransientSpec,
         mut observe: impl FnMut(f64, &[f64]),
-    ) -> Result<TransientRun, CircuitError> {
-        self.transient_core(spec, Some(&mut observe))
-    }
-
-    fn transient_core(
-        &mut self,
-        spec: &TransientSpec,
-        observer: Option<StepObserver<'_>>,
-    ) -> Result<TransientRun, CircuitError> {
+    ) -> Result<TransientStats, CircuitError> {
         // Resolve the starting state here so the session's warm start
         // benefits the DC solve; a caller-provided state passes through
         // to the cores, which validate its length.
@@ -556,7 +565,7 @@ impl Simulator {
                 Some(sol.x)
             }
         };
-        let run = match spec.dt {
+        match spec.dt {
             Some(dt) => transient_fixed_core(
                 &mut self.engine,
                 &self.circuit,
@@ -564,18 +573,17 @@ impl Simulator {
                 dt,
                 resolved.as_deref(),
                 &spec.options,
-                observer,
-            )?,
+                &mut observe,
+            ),
             None => transient_adaptive_core(
                 &mut self.engine,
                 &self.circuit,
                 spec.t_stop,
                 resolved.as_deref(),
                 &spec.options,
-                observer,
-            )?,
-        };
-        Ok(run)
+                &mut observe,
+            ),
+        }
     }
 
     /// Runs an AC small-signal frequency sweep: solves the operating
@@ -609,8 +617,7 @@ impl Simulator {
     /// ladder rungs). Per-analysis numbers come from
     /// capturing a baseline before an analysis and calling
     /// [`EngineCounters::delta_since`] after it — the discipline
-    /// [`TransientStats`](crate::transient::TransientStats) follows
-    /// internally.
+    /// [`TransientStats`] follows internally.
     ///
     /// [`EngineCounters::delta_since`]: crate::engine::EngineCounters::delta_since
     pub fn counters(&self) -> crate::engine::EngineCounters {

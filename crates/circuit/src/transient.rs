@@ -8,8 +8,15 @@
 //! `None` for adaptive stepping). Adaptive runs control the local
 //! truncation error with a [`TimeIntegrator`] (backward Euler or
 //! variable-step BDF2), a PI step-size controller and reject-and-retry
-//! on LTE or Newton failure. Every run returns a [`TransientRun`]
-//! carrying both the waveform and per-run [`TransientStats`].
+//! on LTE or Newton failure.
+//!
+//! The stepping cores keep no waveform: each hands every accepted
+//! `(t, x)` point to a step observer as it lands and returns only the
+//! run's [`TransientStats`], holding at most the three accepted states
+//! BDF2's step control needs. [`crate::sim::Simulator::transient`]
+//! collects the points into a [`TransientRun`]; a deck's `.tran` card
+//! keeps only its probe rows, so its memory grows with probes × steps
+//! instead of unknowns × steps.
 //!
 //! Backward Euler is L-stable, which matters here because the CNFET's Σ
 //! row is an algebraic constraint (index-1 DAE) — trapezoidal rules ring
@@ -130,8 +137,10 @@ impl TimeIntegrator {
     }
 }
 
-/// Callback handed to the transient stepping cores; it receives every
-/// accepted `(t, x)` point in order, including the initial state.
+/// Callback handed to the transient stepping cores, their only output:
+/// it receives the initial state at `t = 0`, then every accepted
+/// `(t, x)` point in order, ending exactly at `t_stop`. Rejected
+/// attempts and fixed-grid substeps are never observed.
 pub(crate) type StepObserver<'a> = &'a mut dyn FnMut(f64, &[f64]);
 
 /// Tuning knobs of transient analysis — integrator choice, step bounds,
@@ -233,7 +242,8 @@ impl TransientOptions {
 /// engine's counters over the run embedded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransientStats {
-    /// Accepted time steps (equals `result.len() - 1`).
+    /// Accepted time steps: the points observed after the initial
+    /// state (a collected [`TransientResult`] holds `accepted + 1`).
     pub accepted: usize,
     /// Steps rejected because the LTE estimate exceeded tolerance.
     pub rejected_lte: usize,
@@ -241,7 +251,9 @@ pub struct TransientStats {
     /// smaller step size).
     pub rejected_newton: usize,
     /// Total Newton iterations across all attempted steps (including
-    /// the extra solves of backward-Euler step doubling).
+    /// the extra solves of backward-Euler step doubling). A solve that
+    /// fails to converge adds the iterations its
+    /// [`CircuitError::NoConvergence`] reports, rescue ladder included.
     pub newton_iterations: usize,
     /// Backward-Euler sub-steps taken by the fixed-grid rescue: grid
     /// intervals whose one-shot step system had no reachable solution
@@ -314,7 +326,7 @@ const FIXED_SUBSTEP_DEPTH: usize = 6;
 /// why a solution may not exist at the full `h`). Newton iterations
 /// of every attempt accumulate into `stats.newton_iterations`;
 /// `stats.substeps` counts the internal steps taken beyond the one the
-/// grid asked for.
+/// grid asked for. Substeps are never observed.
 ///
 /// # Errors
 ///
@@ -348,17 +360,33 @@ fn fixed_substep(
     stats: &mut TransientStats,
 ) -> Result<Vec<f64>, CircuitError> {
     let stamp = TransientStamp::backward_euler(t1, t1 - t0, x);
-    match engine.newton(circuit, x, &AnalysisMode::Transient(stamp), 0.0) {
-        Ok((nx, it)) => {
-            stats.newton_iterations += it;
-            Ok(nx)
-        }
-        Err(CircuitError::NoConvergence { iterations, .. }) if depth > 0 => {
-            stats.newton_iterations += iterations;
+    match step_newton(engine, circuit, x, stamp, stats) {
+        Err(CircuitError::NoConvergence { .. }) if depth > 0 => {
             split_interval(engine, circuit, x, t0, t1, depth - 1, stats)
         }
-        Err(e) => Err(e),
+        solved => solved,
     }
+}
+
+/// One transient Newton solve from `guess`. Its iterations count into
+/// `stats.newton_iterations` whether it converges or not: a failed
+/// solve adds the iterations its [`CircuitError::NoConvergence`]
+/// reports, rescue ladder included (an error that carries no count,
+/// such as a singular system, adds none).
+fn step_newton(
+    engine: &mut NewtonEngine,
+    circuit: &Circuit,
+    guess: &[f64],
+    stamp: TransientStamp,
+    stats: &mut TransientStats,
+) -> Result<Vec<f64>, CircuitError> {
+    let solved = engine.newton(circuit, guess, &AnalysisMode::Transient(stamp), 0.0);
+    stats.newton_iterations += match &solved {
+        Ok((_, it)) => *it,
+        Err(CircuitError::NoConvergence { iterations, .. }) => *iterations,
+        Err(_) => 0,
+    };
+    solved.map(|(x, _)| x)
 }
 
 /// The engine-sharing fixed-grid stepping core behind
@@ -366,9 +394,10 @@ fn fixed_substep(
 /// every Newton-converged step is accepted; a Newton failure first
 /// splits the interval (see [`split_interval`]) and then aborts the
 /// run. The final step is shortened to land exactly on `t_stop`.
-/// `observer`, when present, sees every accepted `(t, x)` point in
-/// order (including the initial state) before the run completes; the
-/// engine's cancellation flag is additionally polled once per step.
+/// `observer` sees every accepted `(t, x)` point in order (see
+/// [`StepObserver`]); the core keeps only the current state and, for
+/// BDF2, the one before it. The engine's cancellation flag is
+/// additionally polled once per step.
 pub(crate) fn transient_fixed_core(
     engine: &mut NewtonEngine,
     circuit: &Circuit,
@@ -376,8 +405,8 @@ pub(crate) fn transient_fixed_core(
     dt: f64,
     initial: Option<&[f64]>,
     options: &TransientOptions,
-    mut observer: Option<StepObserver<'_>>,
-) -> Result<TransientRun, CircuitError> {
+    observer: StepObserver<'_>,
+) -> Result<TransientStats, CircuitError> {
     if dt <= 0.0 || t_stop <= 0.0 {
         return Err(CircuitError::InvalidAnalysis(format!(
             "t_stop ({t_stop}) and dt ({dt}) must be positive"
@@ -392,13 +421,7 @@ pub(crate) fn transient_fixed_core(
     // step when t_stop/dt rounds just above an integer (a near-zero
     // final step would make the companion coefficient 1/h explode).
     let steps = ((t_stop / dt - 1e-9).ceil() as usize).max(1);
-    let mut time = Vec::with_capacity(steps + 1);
-    let mut states = Vec::with_capacity(steps + 1);
-    time.push(0.0);
-    states.push(x0.clone());
-    if let Some(obs) = observer.as_deref_mut() {
-        obs(0.0, &x0);
-    }
+    observer(0.0, &x0);
     let mut stats = TransientStats::default();
     let mut x = x0;
     let mut t_prev = 0.0;
@@ -423,11 +446,8 @@ pub(crate) fn transient_fixed_core(
             _ => TransientStamp::backward_euler(t, h, &x),
         };
         let mut substepped = false;
-        let nx = match engine.newton(circuit, &x, &AnalysisMode::Transient(stamp), 0.0) {
-            Ok((nx, it)) => {
-                stats.newton_iterations += it;
-                nx
-            }
+        let nx = match step_newton(engine, circuit, &x, stamp, &mut stats) {
+            Ok(nx) => nx,
             // Hard-switching steps over purely algebraic internal nodes
             // can fold the one-shot step system so that no solution is
             // reachable at this `h` — no Newton variant can converge to
@@ -435,8 +455,7 @@ pub(crate) fn transient_fixed_core(
             // restores solvability while keeping the output grid (and
             // every already-produced sample) untouched; the rescue only
             // runs where the historical behavior was a hard error.
-            Err(CircuitError::NoConvergence { iterations, .. }) => {
-                stats.newton_iterations += iterations;
+            Err(CircuitError::NoConvergence { .. }) => {
                 substepped = true;
                 let depth = FIXED_SUBSTEP_DEPTH - 1;
                 split_interval(engine, circuit, &x, t_prev, t, depth, &mut stats)?
@@ -444,31 +463,24 @@ pub(crate) fn transient_fixed_core(
             Err(e) => return Err(e),
         };
         stats.accepted += 1;
+        let prev = std::mem::replace(&mut x, nx);
         if options.integrator == TimeIntegrator::Bdf2 {
-            // Sub-stepping leaves `x` one (internal) BE step away from
-            // `nx`, so the two-point grid history is no longer valid:
-            // restart BDF2 from backward Euler, as after any rescue.
+            // Sub-stepping leaves `prev` one (internal) BE step away
+            // from `x`, so the two-point grid history is no longer
+            // valid: restart BDF2 from backward Euler, as after any
+            // rescue.
             bdf2_hist = if substepped {
                 stats.bdf2_restarts += 1;
                 None
             } else {
-                Some((x.clone(), h))
+                Some((prev, h))
             };
         }
-        x = nx;
         t_prev = t;
-        time.push(t);
-        states.push(x.clone());
-        if let Some(obs) = observer.as_deref_mut() {
-            obs(t, &x);
-        }
+        observer(t, &x);
     }
     stats.counters = engine.counters().delta_since(&base_counters);
-    Ok(TransientRun::new(
-        TransientResult { time, states },
-        stats,
-        circuit,
-    ))
+    Ok(stats)
 }
 
 /// The engine-sharing adaptive stepping core behind
@@ -486,19 +498,20 @@ pub(crate) fn transient_fixed_core(
 /// BDF2 from backward Euler. When a step at `dt_min` still fails, the
 /// run aborts with [`CircuitError::TimestepTooSmall`].
 ///
-/// `observer`, when present, sees every **accepted** `(t, x)` point in
-/// order (including the initial state); rejected attempts are invisible
-/// to it. The engine's cancellation flag is polled once per step
-/// attempt on top of the per-Newton-iteration polls, so cancellation
-/// lands within one accepted step.
+/// `observer` sees every **accepted** `(t, x)` point in order (see
+/// [`StepObserver`]); rejected attempts are invisible to it. The core
+/// keeps only the (at most three) accepted states BDF2 needs. The
+/// engine's cancellation flag is polled once per step attempt on top
+/// of the per-Newton-iteration polls, so cancellation lands within one
+/// accepted step.
 pub(crate) fn transient_adaptive_core(
     engine: &mut NewtonEngine,
     circuit: &Circuit,
     t_stop: f64,
     initial: Option<&[f64]>,
     options: &TransientOptions,
-    mut observer: Option<StepObserver<'_>>,
-) -> Result<TransientRun, CircuitError> {
+    observer: StepObserver<'_>,
+) -> Result<TransientStats, CircuitError> {
     if t_stop <= 0.0 {
         return Err(CircuitError::InvalidAnalysis(format!(
             "t_stop ({t_stop}) must be positive"
@@ -510,11 +523,7 @@ pub(crate) fn transient_adaptive_core(
     let base_counters = engine.counters();
     let n_nodes = circuit.node_count();
     let mut stats = TransientStats::default();
-    let mut time = vec![0.0];
-    let mut states = vec![x0.clone()];
-    if let Some(obs) = observer.as_deref_mut() {
-        obs(0.0, &x0);
-    }
+    observer(0.0, &x0);
     // Accepted history since the last integrator restart, oldest first,
     // capped at the three points BDF2's predictor needs.
     let mut hist: Vec<(f64, Vec<f64>)> = vec![(0.0, x0)];
@@ -565,11 +574,7 @@ pub(crate) fn transient_adaptive_core(
                     rejects_in_a_row = 0;
                     stats.accepted += 1;
                     let t_new = if final_step { t_stop } else { t_n + dt };
-                    time.push(t_new);
-                    states.push(x_new.clone());
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs(t_new, &x_new);
-                    }
+                    observer(t_new, &x_new);
                     if hist.len() == 3 {
                         hist.remove(0);
                     }
@@ -631,11 +636,7 @@ pub(crate) fn transient_adaptive_core(
         }
     }
     stats.counters = engine.counters().delta_since(&base_counters);
-    Ok(TransientRun::new(
-        TransientResult { time, states },
-        stats,
-        circuit,
-    ))
+    Ok(stats)
 }
 
 /// Resolves the starting state: validated caller-provided vector or the
@@ -699,13 +700,7 @@ fn be_doubled_step(
                  from: &[f64],
                  guess: &[f64]| {
         let stamp = TransientStamp::backward_euler(t, h, from);
-        let r = engine.newton(circuit, guess, &AnalysisMode::Transient(stamp), 0.0);
-        if let Ok((_, it)) = &r {
-            stats.newton_iterations += *it;
-        } else {
-            stats.newton_iterations += engine.options().max_iter;
-        }
-        r.map(|(x, _)| x)
+        step_newton(engine, circuit, guess, stamp, stats)
     };
     let x_full = solve(engine, stats, t_n + dt, dt, x_n, x_n)?;
     let x_h1 = solve(engine, stats, t_n + 0.5 * dt, 0.5 * dt, x_n, x_n)?;
@@ -743,13 +738,7 @@ fn bdf2_step(
         .map(|((&a, &b), &c)| c0 * a + c1 * b + c2 * c)
         .collect();
     let stamp = TransientStamp::bdf2(t, h, g, x0, x1);
-    let r = engine.newton(circuit, &pred, &AnalysisMode::Transient(stamp), 0.0);
-    if let Ok((_, it)) = &r {
-        stats.newton_iterations += *it;
-    } else {
-        stats.newton_iterations += engine.options().max_iter;
-    }
-    let x_new = r.map(|(x, _)| x)?;
+    let x_new = step_newton(engine, circuit, &pred, stamp, stats)?;
     // Error-constant split of the predictor–corrector difference: the
     // corrector's solution-error constant is C2 = h²(h+g)²/(6(2h+g)),
     // the predictor's Cp = h(h+g)(h+g+f)/6, both multiplying y'''.
@@ -768,7 +757,7 @@ fn bdf2_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::{Capacitor, Resistor, VoltageSource, Waveform};
+    use crate::element::{Capacitor, Element, Mna, Resistor, VoltageSource, Waveform};
     use crate::netlist::Circuit;
     use crate::sim::{Simulator, TransientSpec};
 
@@ -1061,6 +1050,132 @@ mod tests {
             state = nx;
         }
         assert_eq!(engine.pattern_builds(), 1, "dt/method changes re-pattern");
+    }
+
+    /// A branch whose constraint has no solution on long steps: its
+    /// extra unknown `y` obeys `y = 0` at DC and on transient steps of
+    /// at most `h_max`, and `y + sign(y) = 0` on longer ones, where the
+    /// residual never drops below 1. Every Newton solve of a long step
+    /// therefore fails, rescue ladder included, and the stepper has to
+    /// shorten the step. Its 1×1 block touches no node row, so the rest
+    /// of the circuit solves exactly as without it.
+    #[derive(Debug)]
+    struct LongStepFuse {
+        h_max: f64,
+    }
+
+    impl Element for LongStepFuse {
+        fn name(&self) -> &str {
+            "FUSE"
+        }
+
+        fn extra_vars(&self) -> usize {
+            1
+        }
+
+        fn stamp(&self, x: &[f64], base: usize, mode: &AnalysisMode, mna: &mut Mna<'_>) {
+            let y = x[base];
+            let long = matches!(mode, AnalysisMode::Transient(s) if s.a0 * self.h_max < 1.0);
+            let jump = match (long, y >= 0.0) {
+                (false, _) => 0.0,
+                (true, true) => 1.0,
+                (true, false) => -1.0,
+            };
+            mna.add_f_extra(base, y + jump);
+            mna.add_j_extra_extra(base, base, 1.0);
+        }
+    }
+
+    /// [`rc_circuit`] (τ = 1 µs) with a [`LongStepFuse`] of `h_max`.
+    fn fused_rc(h_max: f64) -> Circuit {
+        let (mut ckt, _) = rc_circuit(1e3, 1e-9);
+        ckt.add(LongStepFuse { h_max });
+        ckt
+    }
+
+    /// Runs `spec` through the observer seam and checks the step
+    /// observer contract: `t = 0` first, then exactly `stats.accepted`
+    /// points in strictly increasing time, ending exactly at `t_stop`,
+    /// each bitwise equal to the point a collecting
+    /// [`Simulator::transient`] run returns.
+    fn observe_and_check(build: impl Fn() -> Circuit, spec: &TransientSpec) -> TransientStats {
+        let mut time = Vec::new();
+        let mut states: Vec<Vec<f64>> = Vec::new();
+        let stats = Simulator::new(build())
+            .transient_observed(spec, |t, x| {
+                time.push(t);
+                states.push(x.to_vec());
+            })
+            .unwrap();
+        assert_eq!(time.first(), Some(&0.0));
+        assert_eq!(time.len(), stats.accepted + 1);
+        assert!(time.windows(2).all(|w| w[0] < w[1]), "time increases");
+        assert_eq!(time.last().unwrap().to_bits(), spec.t_stop.to_bits());
+        let run = Simulator::new(build()).transient(spec).unwrap();
+        assert_eq!(run.stats, stats);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&time), bits(&run.result.time));
+        assert_eq!(states.len(), run.result.states.len());
+        for (k, (seen, kept)) in states.iter().zip(&run.result.states).enumerate() {
+            assert_eq!(bits(seen), bits(kept), "state {k}");
+        }
+        stats
+    }
+
+    #[test]
+    fn observer_sees_exactly_the_accepted_points() {
+        let h_max = 2e-7;
+        let build = || fused_rc(h_max);
+        // Fixed backward Euler on a grid the fuse refuses: every grid
+        // step fails and is split, yet only grid points are observed.
+        let be = TransientOptions {
+            integrator: TimeIntegrator::BackwardEuler,
+            ..TransientOptions::default()
+        };
+        let spec = TransientSpec::fixed(2e-6, 1.25 * h_max).with_options(be);
+        let stats = observe_and_check(build, &spec);
+        assert_eq!(stats.accepted, 8);
+        assert_eq!(stats.substeps, 8, "each grid step split once");
+        // Fixed BDF2 (one backward-Euler start-up step) under the fuse's
+        // limit: nothing is split.
+        let spec = TransientSpec::fixed(2e-6, 0.8 * h_max);
+        let stats = observe_and_check(build, &spec);
+        assert_eq!((stats.accepted, stats.substeps), (13, 0));
+        // Adaptive BDF2: the controller grows the step past the fuse's
+        // limit, so attempts are rejected for Newton failures as well
+        // as for their LTE; neither kind is observed.
+        let stats = observe_and_check(build, &TransientSpec::adaptive(5e-6));
+        assert!(stats.rejected_newton > 0, "{stats:?}");
+        assert!(stats.rejected_lte > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn failed_attempts_count_their_reported_iterations() {
+        // Every Newton iteration factors the Jacobian once, and a
+        // failed solve reports every iteration it ran, rescue ladder
+        // included, so a run's iteration count equals its
+        // factorisations even when attempts fail. Counting a failed
+        // attempt as the plain loop's budget (`max_iter`) would not.
+        let build = || fused_rc(2e-7);
+        let run = Simulator::new(build())
+            .transient(&TransientSpec::adaptive(5e-6))
+            .unwrap();
+        assert!(run.stats.rejected_newton > 0, "{:?}", run.stats);
+        assert_eq!(
+            run.stats.newton_iterations as u64,
+            run.stats.counters.factorizations
+        );
+        let be = TransientOptions {
+            integrator: TimeIntegrator::BackwardEuler,
+            ..TransientOptions::default()
+        };
+        let spec = TransientSpec::fixed(2e-6, 2.5e-7).with_options(be);
+        let run = Simulator::new(build()).transient(&spec).unwrap();
+        assert!(run.stats.substeps > 0, "{:?}", run.stats);
+        assert_eq!(
+            run.stats.newton_iterations as u64,
+            run.stats.counters.factorizations
+        );
     }
 
     #[test]
