@@ -9,7 +9,7 @@
 
 use cntfet_bench::{paper_device, time_loops};
 use cntfet_circuit::prelude::*;
-use cntfet_core::batch::{parallel_enabled, BiasGrid};
+use cntfet_core::batch::BiasGrid;
 use cntfet_core::CompactCntFet;
 use cntfet_numerics::interp::linspace;
 use std::sync::Arc;
@@ -19,15 +19,7 @@ fn main() {
 
     // A dense 256 x 256 grid (65 536 closed-form bias points).
     let grid = BiasGrid::rectangular(linspace(0.0, 0.8, 256), linspace(0.0, 0.7, 256));
-    println!(
-        "Batched grid evaluation: {} points, parallel engine {}",
-        grid.len(),
-        if parallel_enabled() {
-            "ON"
-        } else {
-            "OFF (sequential fallback)"
-        },
-    );
+    println!("Batched grid evaluation: {} points", grid.len());
 
     // Warm both paths, and check equivalence while at it.
     let par = grid.evaluate(&model).expect("parallel grid");

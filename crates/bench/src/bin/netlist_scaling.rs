@@ -20,7 +20,7 @@ use cntfet_bench::paper_device;
 use cntfet_circuit::element::AnalysisMode;
 use cntfet_circuit::prelude::*;
 use cntfet_core::CompactCntFet;
-use cntfet_numerics::sparse::{dense_lu_ops, DenseLuSolver, LinearSolver, SparseLuSolver};
+use cntfet_numerics::sparse::{dense_lu_ops, DenseLuSolver, SparseLu};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -127,12 +127,14 @@ fn main() {
         let jac = jac.clone();
         let nnz = jac.nnz();
         let mut dense_solver = DenseLuSolver::new();
-        let mut sparse_solver = SparseLuSolver::new();
+        let mut sparse_solver = SparseLu::new();
         // Warm both (first sparse factor includes the pivot search; the
         // timed loop below measures the steady-state refactor path that
         // Newton iterations actually pay).
         dense_solver.factor(&jac).expect("dense factor");
-        sparse_solver.factor(&jac).expect("sparse symbolic factor");
+        sparse_solver
+            .factor(jac.pattern(), jac.values())
+            .expect("sparse symbolic factor");
         let reps = 5;
         let fact_dense_ms = time_ms(|| {
             for _ in 0..reps {
@@ -141,7 +143,9 @@ fn main() {
         }) / reps as f64;
         let fact_sparse_ms = time_ms(|| {
             for _ in 0..reps {
-                sparse_solver.factor(&jac).expect("sparse refactor");
+                sparse_solver
+                    .factor(jac.pattern(), jac.values())
+                    .expect("sparse refactor");
             }
         }) / reps as f64;
         let dense_ops = dense_lu_ops(unknowns);

@@ -21,6 +21,7 @@ use super::{
 use crate::cnfet::Polarity;
 use crate::element::Waveform;
 use crate::error::CircuitError;
+use crate::transient::MAX_STEPS;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 
@@ -857,6 +858,20 @@ impl<'a> Cursor<'a> {
         SourceRef::new(span, self.line.text_for(span.line))
     }
 
+    /// Rejects, at `span`, a card that asks for `count` points or steps
+    /// (`what`) when the count is not finite or exceeds [`MAX_STEPS`]:
+    /// a mistyped step must fail here, not allocate terabytes or run
+    /// without end.
+    fn check_count(&self, span: Span, what: &str, count: f64) -> Result<(), DeckError> {
+        if count <= MAX_STEPS as f64 {
+            return Ok(());
+        }
+        Err(self.at(
+            span,
+            format!("this card asks for {count:.3e} {what}; the bound is {MAX_STEPS}"),
+        ))
+    }
+
     fn error_at(&self, i: usize, message: String) -> DeckError {
         self.at(self.line.span_at(i), message)
     }
@@ -1319,6 +1334,11 @@ fn parse_dc(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<DcCard, DeckError
             format!("step {step} cannot move the sweep from {start} to {stop}"),
         ));
     }
+    if start != stop {
+        // The point count `DcCard::values` expands to.
+        let points = ((stop - start) / step + 1e-9).floor() + 1.0;
+        cur.check_count(step_span, "sweep points", points)?;
+    }
     Ok(DcCard {
         source,
         source_origin,
@@ -1346,6 +1366,7 @@ fn parse_tran(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<TranCard, DeckE
                 format!("the stop time must be positive, got {t_stop}"),
             ));
         }
+        cur.check_count(first_span, "time steps (t_stop / dt)", t_stop / first)?;
         TranCard {
             dt: Some(first),
             t_stop,
@@ -1405,6 +1426,9 @@ fn parse_ac(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<AcCard, DeckError
                     format!("a decade sweep needs f_stop > f_start, got [{f_start}, {f_stop}] Hz"),
                 ));
             }
+            // The point count `FreqGrid::frequencies` expands to.
+            let points = ((f_stop / f_start).log10() * points_v).ceil() + 1.0;
+            cur.check_count(points_span, "frequency points", points)?;
         }
         AcScale::Lin => {
             if !(f_start >= 0.0 && f_start.is_finite()) {
@@ -1419,6 +1443,7 @@ fn parse_ac(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<AcCard, DeckError
                     format!("a linear sweep needs f_stop >= f_start, got [{f_start}, {f_stop}] Hz"),
                 ));
             }
+            cur.check_count(points_span, "frequency points", points_v)?;
         }
     }
     Ok(AcCard {

@@ -11,7 +11,7 @@
 //!   every later iteration — across gmin steps, sweep points and
 //!   transient steps — writes values into preallocated slots with no
 //!   allocation;
-//! * a [`SparseLuSolver`] that picks its pivot order and fill-in
+//! * a [`SparseLu`] that picks its pivot order and fill-in
 //!   pattern once and replays the frozen elimination across
 //!   factorizations (fully, or partially from the changed slots).
 //!
@@ -68,7 +68,7 @@ use crate::element::{AnalysisMode, Mna};
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
 use cntfet_numerics::sparse::{
-    structural_rank, CsrMatrix, FactorPathStats, LinearSolver, PatternAssembler, SparseLuSolver,
+    structural_rank, CsrMatrix, FactorPathStats, PatternAssembler, SparseLu,
 };
 use cntfet_numerics::stats::inf_norm;
 use std::fmt;
@@ -152,7 +152,7 @@ struct Cache {
     revision: u64,
     unknowns: usize,
     asm: PatternAssembler,
-    solver: SparseLuSolver,
+    solver: SparseLu<f64>,
     bases: Vec<usize>,
     /// `true` once this structure passed the structural-rank check, so
     /// repeated DC solves (sweep points, transient initial conditions)
@@ -642,7 +642,7 @@ impl NewtonEngine {
                 revision,
                 unknowns,
                 asm: PatternAssembler::new(unknowns, unknowns),
-                solver: SparseLuSolver::new(),
+                solver: SparseLu::new(),
                 bases: circuit.extra_var_bases(),
                 struct_ok: false,
                 devices: circuit.device_count() as u64,
@@ -843,11 +843,13 @@ impl NewtonEngine {
                             cache.changed.push(slot);
                         }
                     }
-                    cache.solver.factor_partial(a, &cache.changed)
+                    cache
+                        .solver
+                        .factor_partial(a.pattern(), a.values(), &cache.changed)
                 } else {
-                    cache.solver.factor(a)
+                    cache.solver.factor(a.pattern(), a.values())
                 };
-                let path = cache.solver.factor_stats();
+                let path = cache.solver.factor_path_stats();
                 self.counters += EngineCounters::from(path.delta_since(&cache.last_path));
                 cache.last_path = path;
                 match factored {

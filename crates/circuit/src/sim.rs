@@ -47,11 +47,9 @@ use crate::transient::{
     transient_adaptive_core, transient_fixed_core, TransientOptions, TransientResult, TransientRun,
     TransientStats,
 };
+use rayon::prelude::*;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
-
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 
 /// Node-name lookup captured from a circuit into analysis results, so
 /// results can be probed by name (`"out"`) long after the circuit moved
@@ -240,14 +238,6 @@ impl OpPoint {
     /// The node-name probe of this operating point.
     pub fn probe(&self) -> &Probe {
         &self.probe
-    }
-
-    /// Converts into the engine-level [`Solution`] type.
-    pub fn into_solution(self) -> Solution {
-        Solution {
-            x: self.x,
-            iterations: self.iterations,
-        }
     }
 }
 
@@ -550,19 +540,19 @@ impl Simulator {
         spec: &TransientSpec,
         mut observe: impl FnMut(f64, &[f64]),
     ) -> Result<TransientStats, CircuitError> {
+        self.engine.set_options(spec.options.newton);
         // Resolve the starting state here so the session's warm start
         // benefits the DC solve; a caller-provided state passes through
         // to the cores, which validate its length.
-        let resolved: Option<Vec<f64>> = match &spec.initial {
-            Some(x) => Some(x.clone()),
+        let initial = match &spec.initial {
+            Some(x) => x.clone(),
             None => {
-                self.engine.set_options(spec.options.newton);
                 let warm = self.warm_start();
                 let sol = self
                     .engine
                     .dc_operating_point(&self.circuit, warm.as_deref())?;
                 self.last_x = Some(sol.x.clone());
-                Some(sol.x)
+                sol.x
             }
         };
         match spec.dt {
@@ -571,7 +561,7 @@ impl Simulator {
                 &self.circuit,
                 spec.t_stop,
                 dt,
-                resolved.as_deref(),
+                &initial,
                 &spec.options,
                 &mut observe,
             ),
@@ -579,7 +569,7 @@ impl Simulator {
                 &mut self.engine,
                 &self.circuit,
                 spec.t_stop,
-                resolved.as_deref(),
+                &initial,
                 &spec.options,
                 &mut observe,
             ),
@@ -635,10 +625,10 @@ impl Simulator {
 }
 
 /// Runs a batch of independent warm-started sweeps, each in its own
-/// [`Simulator`] session, in parallel when the `parallel` feature is
-/// enabled (the default). `build` constructs a fresh circuit per spec
-/// (jobs may differ in topology or parameters), every worker owns its
-/// session outright, and results come back in `specs` order.
+/// [`Simulator`] session, in parallel. `build` constructs a fresh
+/// circuit per spec (jobs may differ in topology or parameters), every
+/// worker owns its session outright, and results come back in `specs`
+/// order.
 ///
 /// # Errors
 ///
@@ -664,7 +654,6 @@ impl Simulator {
 /// assert_eq!(results.len(), corners.len());
 /// # Ok::<(), cntfet_circuit::CircuitError>(())
 /// ```
-#[cfg(feature = "parallel")]
 pub fn sweep_many<F>(
     build: F,
     specs: &[SweepSpec],
@@ -679,28 +668,6 @@ where
         .map(|&(index, spec)| run_sweep_session(&build, index, spec, options))
         .collect();
     ran.into_iter().collect()
-}
-
-/// [`sweep_many`] (sequential build: the `parallel` feature is
-/// disabled).
-///
-/// # Errors
-///
-/// Propagates the first failing job's [`CircuitError`].
-#[cfg(not(feature = "parallel"))]
-pub fn sweep_many<F>(
-    build: F,
-    specs: &[SweepSpec],
-    options: &NewtonOptions,
-) -> Result<Vec<SweepResult>, CircuitError>
-where
-    F: Fn(usize, &SweepSpec) -> Circuit + Sync,
-{
-    specs
-        .iter()
-        .enumerate()
-        .map(|(index, spec)| run_sweep_session(&build, index, spec, options))
-        .collect()
 }
 
 fn run_sweep_session(

@@ -172,20 +172,26 @@ pub struct TransientOptions {
     pub rel_tol: f64,
     /// Absolute LTE tolerance on node voltages, volts. Default `1e-6`.
     pub abs_tol: f64,
-    /// Safety factor of the step controller, in `(0, 1]`. Default `0.9`.
-    pub safety: f64,
-    /// Largest step-growth factor per accepted step. Default `2.0`,
-    /// which also keeps consecutive BDF2 step ratios inside the method's
-    /// zero-stability bound (`1 + √2 ≈ 2.414`).
-    pub max_growth: f64,
-    /// Consecutive rejections (LTE or Newton) tolerated before the run
-    /// aborts. Default `30`.
-    pub max_rejects: usize,
-    /// Hard cap on attempted steps (accepted + rejected), a runaway
-    /// guard for pathological tolerance/step-bound combinations.
-    /// Default `10_000_000`.
-    pub max_steps: usize,
 }
+
+/// Safety factor of the adaptive step controller.
+const SAFETY: f64 = 0.9;
+
+/// Largest step-growth factor per accepted adaptive step; it also keeps
+/// consecutive BDF2 step ratios inside the method's zero-stability
+/// bound (`1 + √2 ≈ 2.414`).
+const MAX_GROWTH: f64 = 2.0;
+
+/// Consecutive rejections (LTE or Newton) an adaptive run tolerates
+/// before it aborts.
+const MAX_REJECTS: usize = 30;
+
+/// Hard cap on the steps of one transient run: attempted steps
+/// (accepted + rejected) of an adaptive run, and grid steps of a fixed
+/// one, whose `.tran` cards the deck parser checks against it. A
+/// runaway guard for mistyped step sizes and pathological
+/// tolerance/step-bound combinations, not a memory budget.
+pub(crate) const MAX_STEPS: usize = 10_000_000;
 
 impl Default for TransientOptions {
     fn default() -> Self {
@@ -197,30 +203,19 @@ impl Default for TransientOptions {
             dt_max: None,
             rel_tol: 1e-3,
             abs_tol: 1e-6,
-            safety: 0.9,
-            max_growth: 2.0,
-            max_rejects: 30,
-            max_steps: 10_000_000,
         }
     }
 }
 
 impl TransientOptions {
-    /// Resolves the optional step bounds against `t_stop` and validates
-    /// the controller parameters.
+    /// Resolves the optional step bounds against `t_stop`, validating
+    /// them and the LTE tolerances.
     fn resolve(&self, t_stop: f64) -> Result<(f64, f64, f64), CircuitError> {
         if !(self.rel_tol >= 0.0 && self.abs_tol >= 0.0 && self.rel_tol + self.abs_tol > 0.0) {
             return Err(CircuitError::InvalidAnalysis(format!(
                 "LTE tolerances must be non-negative and not both zero \
                  (rel_tol {}, abs_tol {})",
                 self.rel_tol, self.abs_tol
-            )));
-        }
-        if !(self.safety > 0.0 && self.safety <= 1.0 && self.max_growth > 1.0) {
-            return Err(CircuitError::InvalidAnalysis(format!(
-                "controller needs 0 < safety <= 1 and max_growth > 1 \
-                 (safety {}, max_growth {})",
-                self.safety, self.max_growth
             )));
         }
         let dt_min = self.dt_min.unwrap_or(t_stop * 1e-12);
@@ -300,13 +295,6 @@ impl TransientRun {
     pub fn voltage(&self, name: &str) -> Result<&[f64], CircuitError> {
         self.waves
             .by_name_with(name, || Box::new(self.result.states.iter().map(|x| &x[..])))
-    }
-
-    /// Borrowed voltage waveform of `node` (all-zero for ground), or
-    /// `None` for a node outside the simulated circuit.
-    pub fn voltage_ref(&self, node: NodeId) -> Option<&[f64]> {
-        self.waves
-            .slice_with(node, || Box::new(self.result.states.iter().map(|x| &x[..])))
     }
 
     /// The stored time points, seconds.
@@ -390,10 +378,10 @@ fn step_newton(
 }
 
 /// The engine-sharing fixed-grid stepping core behind
-/// [`crate::sim::Simulator::transient`]. No LTE control is performed —
-/// every Newton-converged step is accepted; a Newton failure first
-/// splits the interval (see [`split_interval`]) and then aborts the
-/// run. The final step is shortened to land exactly on `t_stop`.
+/// [`crate::sim::Simulator::transient`], starting from `initial`. No
+/// LTE control is performed — every Newton-converged step is accepted;
+/// a Newton failure first splits the interval (see [`split_interval`])
+/// and then aborts the run. The final step is shortened to land exactly on `t_stop`.
 /// `observer` sees every accepted `(t, x)` point in order (see
 /// [`StepObserver`]); the core keeps only the current state and, for
 /// BDF2, the one before it. The engine's cancellation flag is
@@ -403,17 +391,22 @@ pub(crate) fn transient_fixed_core(
     circuit: &Circuit,
     t_stop: f64,
     dt: f64,
-    initial: Option<&[f64]>,
+    initial: &[f64],
     options: &TransientOptions,
     observer: StepObserver<'_>,
 ) -> Result<TransientStats, CircuitError> {
-    if dt <= 0.0 || t_stop <= 0.0 {
+    if !(dt > 0.0 && dt.is_finite() && t_stop > 0.0 && t_stop.is_finite()) {
         return Err(CircuitError::InvalidAnalysis(format!(
-            "t_stop ({t_stop}) and dt ({dt}) must be positive"
+            "t_stop ({t_stop}) and dt ({dt}) must be positive and finite"
         )));
     }
-    engine.set_options(options.newton);
-    let x0 = initial_state(engine, circuit, initial)?;
+    if t_stop / dt > MAX_STEPS as f64 {
+        return Err(CircuitError::InvalidAnalysis(format!(
+            "t_stop / dt ({:e}) exceeds the {MAX_STEPS}-step bound",
+            t_stop / dt
+        )));
+    }
+    let x0 = initial_state(circuit, initial)?;
     // Counter baseline: the run's stats report this analysis only, not
     // whatever the (possibly session-shared) engine did before.
     let base_counters = engine.counters();
@@ -485,8 +478,7 @@ pub(crate) fn transient_fixed_core(
 
 /// The engine-sharing adaptive stepping core behind
 /// [`crate::sim::Simulator::transient`]: LTE-controlled variable
-/// stepping from `t = 0` to `t_stop`, starting from `initial` (or the
-/// DC operating point).
+/// stepping from `t = 0` to `t_stop`, starting from `initial`.
 ///
 /// Each attempted step produces a local-truncation-error estimate —
 /// step doubling for backward Euler, the predictor–corrector difference
@@ -508,7 +500,7 @@ pub(crate) fn transient_adaptive_core(
     engine: &mut NewtonEngine,
     circuit: &Circuit,
     t_stop: f64,
-    initial: Option<&[f64]>,
+    initial: &[f64],
     options: &TransientOptions,
     observer: StepObserver<'_>,
 ) -> Result<TransientStats, CircuitError> {
@@ -518,8 +510,7 @@ pub(crate) fn transient_adaptive_core(
         )));
     }
     let (mut dt, dt_min, dt_max) = options.resolve(t_stop)?;
-    engine.set_options(options.newton);
-    let x0 = initial_state(engine, circuit, initial)?;
+    let x0 = initial_state(circuit, initial)?;
     let base_counters = engine.counters();
     let n_nodes = circuit.node_count();
     let mut stats = TransientStats::default();
@@ -541,10 +532,9 @@ pub(crate) fn transient_adaptive_core(
         }
         engine.check_cancel()?;
         attempts += 1;
-        if attempts > options.max_steps {
+        if attempts > MAX_STEPS {
             return Err(CircuitError::InvalidAnalysis(format!(
-                "adaptive transient exceeded max_steps ({}) at t = {t_n:.6e} s",
-                options.max_steps
+                "adaptive transient exceeded {MAX_STEPS} steps at t = {t_n:.6e} s"
             )));
         }
         dt = dt.clamp(dt_min, dt_max);
@@ -582,8 +572,8 @@ pub(crate) fn transient_adaptive_core(
                     // PI controller (Hairer's recommendation for stiff
                     // problems: fac = safety · err^(−0.7/k) · prev^(0.4/k)).
                     let errc = err.max(1e-10);
-                    let fac = options.safety * errc.powf(-0.7 / k) * prev_err.powf(0.4 / k);
-                    dt *= fac.clamp(0.2, options.max_growth);
+                    let fac = SAFETY * errc.powf(-0.7 / k) * prev_err.powf(0.4 / k);
+                    dt *= fac.clamp(0.2, MAX_GROWTH);
                     prev_err = errc;
                 } else {
                     stats.rejected_lte += 1;
@@ -598,7 +588,7 @@ pub(crate) fn transient_adaptive_core(
                     // A non-finite norm (overflowing LTE) gives no usable
                     // magnitude — take the maximum shrink instead.
                     let fac = if err.is_finite() {
-                        (options.safety * err.powf(-1.0 / k)).clamp(0.1, 0.5)
+                        (SAFETY * err.powf(-1.0 / k)).clamp(0.1, 0.5)
                     } else {
                         0.1
                     };
@@ -626,7 +616,7 @@ pub(crate) fn transient_adaptive_core(
             }
             Err(e) => return Err(e),
         }
-        if rejects_in_a_row > options.max_rejects {
+        if rejects_in_a_row > MAX_REJECTS {
             let t_n = hist.last().expect("non-empty").0;
             return Err(CircuitError::TimestepTooSmall {
                 t: t_n,
@@ -639,26 +629,17 @@ pub(crate) fn transient_adaptive_core(
     Ok(stats)
 }
 
-/// Resolves the starting state: validated caller-provided vector or the
-/// DC operating point, solved on the shared engine.
-fn initial_state(
-    engine: &mut NewtonEngine,
-    circuit: &Circuit,
-    initial: Option<&[f64]>,
-) -> Result<Vec<f64>, CircuitError> {
-    match initial {
-        Some(x) => {
-            if x.len() != circuit.unknown_count() {
-                return Err(CircuitError::InvalidAnalysis(format!(
-                    "initial state has {} entries, circuit has {} unknowns",
-                    x.len(),
-                    circuit.unknown_count()
-                )));
-            }
-            Ok(x.to_vec())
-        }
-        None => Ok(engine.dc_operating_point(circuit, None)?.x),
+/// The starting state, after checking its length against the circuit's
+/// unknowns.
+fn initial_state(circuit: &Circuit, x: &[f64]) -> Result<Vec<f64>, CircuitError> {
+    if x.len() != circuit.unknown_count() {
+        return Err(CircuitError::InvalidAnalysis(format!(
+            "initial state has {} entries, circuit has {} unknowns",
+            x.len(),
+            circuit.unknown_count()
+        )));
     }
+    Ok(x.to_vec())
 }
 
 /// Weighted RMS of an LTE estimate over the node-voltage unknowns
@@ -835,6 +816,13 @@ mod tests {
         let rc = || rc_circuit(1e3, 1e-9).0;
         assert!(fixed_be(rc(), -1.0, 1e-9).is_err());
         assert!(fixed_be(rc(), 1e-6, 0.0).is_err());
+        // 1e15 grid steps: over the step bound, rejected before any solve.
+        assert!(fixed_be(rc(), 1.0, 1e-15).is_err());
+        // Non-finite inputs neither run one step over the whole span nor
+        // panic in the companion stamp.
+        assert!(fixed_be(rc(), 1e-6, f64::NAN).is_err());
+        assert!(fixed_be(rc(), 1e-6, f64::INFINITY).is_err());
+        assert!(fixed_be(rc(), f64::NAN, 1e-9).is_err());
         let bad_initial = TransientSpec::fixed(1e-6, 1e-9).with_initial(vec![0.0]);
         assert!(Simulator::new(rc()).transient(&bad_initial).is_err());
     }

@@ -390,3 +390,50 @@ fn error_rendering_snapshots() {
       = help: did you mean 'VIN'?"
     );
 }
+
+/// A mistyped step must not ask for more than `MAX_STEPS` points or
+/// steps (10 000 000): such a card fails at parse time, at the token
+/// that sets the count, instead of allocating every point or running
+/// without end.
+#[test]
+fn runaway_point_counts_are_parse_errors() {
+    let err = parse_err("runaway dc\nV1 in 0 DC 1\nR1 in 0 1k\n.dc V1 0 1 1p");
+    assert_eq!(
+        err.to_string(),
+        "deck:4:12: this card asks for 1.000e12 sweep points; the bound is 10000000
+    4 | .dc V1 0 1 1p
+      |            ^^"
+    );
+
+    let err = parse_err("runaway ac\nV1 in 0 DC 0 AC 1\nR1 in 0 1k\n.ac lin 1e12 1k 1meg");
+    assert_eq!(
+        err.to_string(),
+        "deck:4:9: this card asks for 1.000e12 frequency points; the bound is 10000000
+    4 | .ac lin 1e12 1k 1meg
+      |         ^^^^"
+    );
+
+    let err = parse_err("runaway tran\nV1 in 0 DC 1\nR1 in 0 1k\n.tran 1f 1");
+    assert_eq!(
+        err.to_string(),
+        "deck:4:7: this card asks for 1.000e15 time steps (t_stop / dt); the bound is 10000000
+    4 | .tran 1f 1
+      |       ^^"
+    );
+
+    // A step so small its count overflows any integer, and a decade
+    // sweep whose per-decade density multiplies past the bound.
+    for card in [".dc V1 0 1 1e-300", ".ac dec 1e12 1 1meg"] {
+        let deck = format!("runaway\nV1 in 0 DC 0 AC 1\nR1 in 0 1k\n{card}");
+        let err = parse_err(&deck);
+        assert!(
+            err.to_string().contains("the bound is 10000000"),
+            "{card}: {err}"
+        );
+    }
+    // At the bound itself (10 000 000 points or steps) the cards parse.
+    for card in [".dc V1 1 10meg 1", ".ac lin 10meg 1k 1meg", ".tran 1 10meg"] {
+        let deck = format!("at the bound\nV1 in 0 DC 0 AC 1\nR1 in 0 1k\n{card}");
+        Deck::parse(&deck).unwrap_or_else(|e| panic!("{card}: {e}"));
+    }
+}

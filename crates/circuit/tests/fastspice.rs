@@ -18,7 +18,7 @@ use cntfet_circuit::element::AnalysisMode;
 use cntfet_circuit::prelude::*;
 use cntfet_circuit::transient::TransientOptions;
 use cntfet_core::CompactCntFet;
-use cntfet_numerics::sparse::{FillOrdering, LinearSolver, SparseLuSolver};
+use cntfet_numerics::sparse::{FillOrdering, SparseLu};
 use cntfet_reference::DeviceParams;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -152,9 +152,9 @@ proptest! {
         let jac = jac.clone();
 
         let factor_with = |ordering: FillOrdering| {
-            let mut lu = SparseLuSolver::new();
+            let mut lu = SparseLu::new();
             lu.set_ordering(ordering);
-            lu.factor(&jac).expect("factor");
+            lu.factor(jac.pattern(), jac.values()).expect("factor");
             lu
         };
         let auto = factor_with(FillOrdering::Auto);

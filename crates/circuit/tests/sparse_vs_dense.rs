@@ -11,7 +11,7 @@ use cntfet_circuit::element::{AnalysisMode, TransientStamp};
 use cntfet_circuit::prelude::*;
 use cntfet_circuit::transient::TransientOptions;
 use cntfet_core::CompactCntFet;
-use cntfet_numerics::sparse::{dense_lu_ops, DenseLuSolver, LinearSolver, SparseLuSolver};
+use cntfet_numerics::sparse::{dense_lu_ops, DenseLuSolver, SparseLu};
 use cntfet_numerics::stats::inf_norm;
 use cntfet_reference::DeviceParams;
 use proptest::prelude::*;
@@ -33,9 +33,9 @@ fn step_disagreement(c: &Circuit, x: &[f64], mode: &AnalysisMode) -> f64 {
     let (f, j) = engine.assemble(c, x, mode, 0.0);
     let neg_f: Vec<f64> = f.iter().map(|v| -v).collect();
     let dense = DenseLuSolver::new().solve(j, &neg_f).expect("dense solve");
-    let sparse = SparseLuSolver::new()
-        .solve(j, &neg_f)
-        .expect("sparse solve");
+    let mut lu = SparseLu::new();
+    lu.factor(j.pattern(), j.values()).expect("sparse factor");
+    let sparse = lu.solve_factored(&neg_f).expect("sparse solve");
     let diff = dense
         .iter()
         .zip(&sparse)
@@ -208,10 +208,10 @@ fn sparse_factorisation_beats_dense_ops_on_64_stage_chain() {
     let (_, jac) = engine.assemble(&c, &x0, &AnalysisMode::Dc, 0.0);
     let jac = jac.clone();
     let mut dense = DenseLuSolver::new();
-    let mut sparse = SparseLuSolver::new();
+    let mut sparse = SparseLu::new();
     dense.factor(&jac).expect("dense factor");
     sparse
-        .factor(&jac)
+        .factor(jac.pattern(), jac.values())
         .expect("sparse factor (with pivot search)");
     assert_eq!(dense.factor_ops(), dense_lu_ops(n));
     assert!(
@@ -230,8 +230,10 @@ fn sparse_factorisation_beats_dense_ops_on_64_stage_chain() {
     );
     // Refactorisation (the per-Newton-iteration path) replays the same
     // elimination: same op count, no pivot search.
-    sparse.factor(&jac).expect("sparse refactor");
-    assert_eq!(sparse.refactor_count(), 1);
+    sparse
+        .factor(jac.pattern(), jac.values())
+        .expect("sparse refactor");
+    assert_eq!(sparse.factor_path_stats().replay_refactorizations, 1);
 
     // And the two factorisations solve to the same answer.
     let rhs: Vec<f64> = (0..n).map(|i| ((i % 5) as f64 - 2.0) * 1e-6).collect();

@@ -5,8 +5,9 @@
 //! used" — which makes whole *grids* of bias points, not single points,
 //! the unit of work. This module evaluates [`CompactCntFet`] over a
 //! rectangular `V_G × V_DS` grid (or an arbitrary list of bias points)
-//! with a rayon-parallel engine when the `parallel` feature is on
-//! (the default), and an identical sequential loop when it is off.
+//! with a rayon-parallel engine, and keeps the strictly sequential loop
+//! ([`ids_points_sequential`], [`BiasGrid::evaluate_sequential`]) as its
+//! bitwise reference.
 //!
 //! Parallel and sequential paths run the *same* per-point closed-form
 //! evaluation, so their results are bitwise identical; the property tests
@@ -34,8 +35,6 @@
 
 use crate::device::CompactCntFet;
 use crate::error::CompactModelError;
-
-#[cfg(feature = "parallel")]
 use rayon::prelude::*;
 
 /// A batch of bias points: a rectangular `V_G × V_DS` grid flattened
@@ -85,8 +84,7 @@ impl BiasGrid {
         out
     }
 
-    /// Evaluates `model` over the whole grid, in parallel when the
-    /// `parallel` feature is enabled.
+    /// Evaluates `model` over the whole grid, in parallel.
     ///
     /// # Errors
     ///
@@ -138,8 +136,7 @@ impl GridIds {
     }
 }
 
-/// Evaluates `model.ids` over an arbitrary bias-point list, in parallel
-/// when the `parallel` feature is enabled (the default).
+/// Evaluates `model.ids` over an arbitrary bias-point list, in parallel.
 ///
 /// Results are in input order and identical to the sequential loop —
 /// the same closed-form evaluation runs either way.
@@ -147,7 +144,6 @@ impl GridIds {
 /// # Errors
 ///
 /// Propagates the first [`CompactModelError`] any point produces.
-#[cfg(feature = "parallel")]
 pub fn ids_points(
     model: &CompactCntFet,
     points: &[(f64, f64)],
@@ -157,20 +153,6 @@ pub fn ids_points(
         .map(|&(vg, vds)| model.ids(vg, vds))
         .collect();
     evaluated.into_iter().collect()
-}
-
-/// Evaluates `model.ids` over an arbitrary bias-point list (sequential
-/// build: the `parallel` feature is disabled).
-///
-/// # Errors
-///
-/// Propagates the first [`CompactModelError`] any point produces.
-#[cfg(not(feature = "parallel"))]
-pub fn ids_points(
-    model: &CompactCntFet,
-    points: &[(f64, f64)],
-) -> Result<Vec<f64>, CompactModelError> {
-    ids_points_sequential(model, points)
 }
 
 /// The strictly sequential evaluation loop — the baseline `ids_points`
@@ -184,11 +166,6 @@ pub fn ids_points_sequential(
     points: &[(f64, f64)],
 ) -> Result<Vec<f64>, CompactModelError> {
     points.iter().map(|&(vg, vds)| model.ids(vg, vds)).collect()
-}
-
-/// Whether this build evaluates batches in parallel.
-pub fn parallel_enabled() -> bool {
-    cfg!(feature = "parallel")
 }
 
 impl CompactCntFet {

@@ -13,8 +13,8 @@
 //! * [`solver`] — closed-form (Cardano) solution of the self-consistent
 //!   voltage equation by segment-pair enumeration;
 //! * [`device`] — [`CompactCntFet`], the drop-in fast model;
-//! * [`batch`] — rayon-parallel evaluation of whole bias grids (with a
-//!   sequential fallback when the `parallel` feature is off);
+//! * [`batch`] — rayon-parallel evaluation of whole bias grids, with the
+//!   sequential loop kept as its bitwise reference;
 //! * [`validation`] — RMS-error tables against the reference (Tables
 //!   II–V of the paper);
 //! * [`export`] — Verilog-A / VHDL-AMS source emission of fitted models

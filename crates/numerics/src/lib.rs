@@ -11,9 +11,9 @@
 //! * [`linalg`] — dense matrices, LU with partial pivoting, and
 //!   Householder-QR least squares;
 //! * [`sparse`] — triplet → CSR assembly with a cached sparsity pattern
-//!   and a [`sparse::LinearSolver`] trait (dense-LU reference + fill-reusing
-//!   sparse LU, scalar-generic over real and complex values) for the
-//!   circuit simulator's MNA systems;
+//!   and [`sparse::SparseLu`], the fill-reusing sparse LU (scalar-generic
+//!   over real and complex values) for the circuit simulator's MNA
+//!   systems, plus the dense-LU reference it is tested against;
 //! * [`complex`] — a minimal complex number for the frequency-domain
 //!   (AC small-signal) solves of the circuit simulator;
 //! * [`fit`] — unconstrained and equality-constrained polynomial least

@@ -9,20 +9,22 @@
 //!   matrix with a shared [`SparsityPattern`]; every later assembly
 //!   writes values straight into the preallocated slots with no
 //!   allocation and no sorting.
-//! * **Factorisation** — the [`LinearSolver`] trait has two
-//!   implementations: [`DenseLuSolver`], the dense partial-pivoting LU
-//!   kept as the reference that tests and benches compare against, and
-//!   [`SparseLuSolver`], the circuit engine's solver: a sparse LU whose
-//!   pivot order and fill-in pattern are chosen once (Markowitz-style
-//!   threshold pivoting on row-equilibrated magnitudes, so MNA rows on
-//!   different unit scales — KCL rows in S, CNFET charge balances in
-//!   C/m — compete for pivots on equal terms) and then **reused across
-//!   factorizations** — subsequent factors replay the elimination over
-//!   the frozen pattern with a dense scatter workspace, KLU-style.
+//! * **Factorisation** — [`SparseLu`], the circuit engine's solver, is
+//!   a sparse LU whose pivot order and fill-in pattern are chosen once
+//!   (Markowitz-style threshold pivoting on row-equilibrated magnitudes,
+//!   so MNA rows on different unit scales — KCL rows in S, CNFET charge
+//!   balances in C/m — compete for pivots on equal terms) and then
+//!   **reused across factorizations** — subsequent factors replay the
+//!   elimination over the frozen pattern with a dense scatter workspace,
+//!   KLU-style. It is generic over [`LuScalar`], so the real Newton
+//!   Jacobians and the complex AC systems share one implementation.
+//!   [`DenseLuSolver`], the dense partial-pivoting LU, is kept as the
+//!   reference that tests and benches compare against.
 //!
 //! Both solvers count the multiply–accumulate/divide operations of their
-//! most recent factorisation ([`LinearSolver::factor_ops`]), so the
-//! sparse-vs-dense win is measurable, not just assumed.
+//! most recent factorisation ([`SparseLu::factor_ops`],
+//! [`DenseLuSolver::factor_ops`]), so the sparse-vs-dense win is
+//! measurable, not just assumed.
 //!
 //! # Pattern-freeze and replay invariants
 //!
@@ -40,7 +42,7 @@
 //!    diagonal recorded at gmin = 0, or a companion-model conductance
 //!    before the step size is known).
 //! 2. **The elimination plan is keyed on the pattern, not the values.**
-//!    [`SparseLuSolver::factor`] replays its frozen pivot order and
+//!    [`SparseLu::factor`] replays its frozen pivot order and
 //!    fill-in pattern whenever the incoming matrix shares the recorded
 //!    [`SparsityPattern`] (pointer-equal `Arc` or structurally equal
 //!    contents). Any *value* change — new Newton iterate, new sweep
@@ -52,9 +54,9 @@
 //!    `factor` transparently redoes the full Markowitz-threshold
 //!    pivoting factorisation and freezes the new plan. Callers never
 //!    see this as an error unless the matrix is genuinely singular; the
-//!    [`SparseLuSolver::symbolic_factor_count`] /
-//!    [`SparseLuSolver::refactor_count`] counters make the fallback
-//!    observable in benchmarks.
+//!    `symbolic_factorizations` and `replay_refactorizations` counts of
+//!    [`SparseLu::factor_path_stats`] make the fallback observable in
+//!    benchmarks.
 //! 4. **Partial refactorization trusts the changed-slot set.** A caller
 //!    of [`SparseLu::factor_partial`] promises that every A-pattern slot
 //!    *not* listed in `changed_slots` holds a value bitwise identical to
@@ -374,31 +376,41 @@ impl StructuralRank {
 pub fn structural_rank(m: &CsrMatrix) -> StructuralRank {
     let pattern = m.pattern();
     let values = m.values();
-    let n_rows = pattern.rows();
-    let n_cols = pattern.cols();
+    let (row_for_col, rank) = max_matching(pattern, |slot| values[slot] != 0.0);
+    let mut row_matched = vec![false; pattern.rows()];
+    for &r in row_for_col.iter().filter(|&&r| r != usize::MAX) {
+        row_matched[r] = true;
+    }
+    StructuralRank {
+        rank,
+        unmatched_rows: (0..pattern.rows()).filter(|&r| !row_matched[r]).collect(),
+        unmatched_cols: (0..pattern.cols())
+            .filter(|&c| row_for_col[c] == usize::MAX)
+            .collect(),
+    }
+}
 
-    // row_for_col[c] = row currently matched to column c (usize::MAX =
-    // unmatched). `seen` carries a per-phase stamp so it is never
-    // cleared between augmenting phases.
-    let mut row_for_col = vec![usize::MAX; n_cols];
-    let mut seen = vec![0usize; n_cols];
-
-    fn augment(
+/// Maximum bipartite matching of rows to columns (Kuhn's augmenting
+/// paths) over the pattern slots that `keep` accepts. Rows are matched
+/// in ascending order, each scanning its columns in pattern order.
+/// Returns `row_for_col` (the row matched to each column, `usize::MAX`
+/// when unmatched) and the size of the matching.
+fn max_matching(pattern: &SparsityPattern, keep: impl Fn(usize) -> bool) -> (Vec<usize>, usize) {
+    fn augment<F: Fn(usize) -> bool>(
         r: usize,
         pattern: &SparsityPattern,
-        values: &[f64],
+        keep: &F,
         stamp: usize,
         seen: &mut [usize],
         row_for_col: &mut [usize],
     ) -> bool {
-        let slots = pattern.row_range(r);
-        for (k, &c) in pattern.row_cols(r).iter().enumerate() {
-            if values[slots.start + k] == 0.0 || seen[c] == stamp {
+        for (slot, &c) in pattern.row_range(r).zip(pattern.row_cols(r)) {
+            if !keep(slot) || seen[c] == stamp {
                 continue;
             }
             seen[c] = stamp;
             let owner = row_for_col[c];
-            if owner == usize::MAX || augment(owner, pattern, values, stamp, seen, row_for_col) {
+            if owner == usize::MAX || augment(owner, pattern, keep, stamp, seen, row_for_col) {
                 row_for_col[c] = r;
                 return true;
             }
@@ -406,25 +418,18 @@ pub fn structural_rank(m: &CsrMatrix) -> StructuralRank {
         false
     }
 
+    // `seen` carries a per-row stamp so it is never cleared between
+    // augmenting phases; stamps start at 1 so the zero-initialised
+    // `seen` is "unseen".
+    let mut row_for_col = vec![usize::MAX; pattern.cols()];
+    let mut seen = vec![0usize; pattern.cols()];
     let mut rank = 0;
-    for r in 0..n_rows {
-        // Stamps start at 1 so the zero-initialised `seen` is "unseen".
-        if augment(r, pattern, values, r + 1, &mut seen, &mut row_for_col) {
+    for r in 0..pattern.rows() {
+        if augment(r, pattern, &keep, r + 1, &mut seen, &mut row_for_col) {
             rank += 1;
         }
     }
-
-    let mut row_matched = vec![false; n_rows];
-    for &r in row_for_col.iter().filter(|&&r| r != usize::MAX) {
-        row_matched[r] = true;
-    }
-    StructuralRank {
-        rank,
-        unmatched_rows: (0..n_rows).filter(|&r| !row_matched[r]).collect(),
-        unmatched_cols: (0..n_cols)
-            .filter(|&c| row_for_col[c] == usize::MAX)
-            .collect(),
-    }
+    (row_for_col, rank)
 }
 
 /// Fill-reducing column pre-ordering used by [`SparseLu`] when it
@@ -582,37 +587,8 @@ fn min_degree_order(adj_full: &[Vec<usize>], members: &[usize]) -> Vec<usize> {
 /// must stay valid for any values with this structure). `None` when no
 /// perfect matching exists (structurally singular).
 fn pattern_matching(pattern: &SparsityPattern) -> Option<Vec<usize>> {
-    let n = pattern.rows();
-    let mut row_for_col = vec![usize::MAX; n];
-    let mut seen = vec![0usize; n];
-
-    fn augment(
-        r: usize,
-        pattern: &SparsityPattern,
-        stamp: usize,
-        seen: &mut [usize],
-        row_for_col: &mut [usize],
-    ) -> bool {
-        for &c in pattern.row_cols(r) {
-            if seen[c] == stamp {
-                continue;
-            }
-            seen[c] = stamp;
-            let owner = row_for_col[c];
-            if owner == usize::MAX || augment(owner, pattern, stamp, seen, row_for_col) {
-                row_for_col[c] = r;
-                return true;
-            }
-        }
-        false
-    }
-
-    for r in 0..n {
-        if !augment(r, pattern, r + 1, &mut seen, &mut row_for_col) {
-            return None;
-        }
-    }
-    Some(row_for_col)
+    let (row_for_col, rank) = max_matching(pattern, |_| true);
+    (rank == pattern.rows()).then_some(row_for_col)
 }
 
 /// Tarjan's strongly-connected-components algorithm, iterative so deep
@@ -719,23 +695,7 @@ pub fn btf_amd_order(pattern: &SparsityPattern) -> Vec<usize> {
     order
 }
 
-/// Minimum-degree (AMD-family) ordering of the whole pattern on
-/// `A + Aᵀ`, without the BTF pre-permutation.
-///
-/// # Panics
-///
-/// Panics if the pattern is not square.
-pub fn amd_order(pattern: &SparsityPattern) -> Vec<usize> {
-    assert_eq!(
-        pattern.rows(),
-        pattern.cols(),
-        "ordering needs a square pattern"
-    );
-    let members: Vec<usize> = (0..pattern.rows()).collect();
-    min_degree_order(&symmetrized_adjacency(pattern), &members)
-}
-
-/// Cumulative factorisation-path statistics of a [`LinearSolver`]: how
+/// Cumulative factorisation-path statistics of a [`SparseLu`]: how
 /// often each path ran and how much of the elimination it recomputed.
 /// All counters are monotone; per-analysis figures come from
 /// [`FactorPathStats::delta_since`] against a snapshot.
@@ -934,75 +894,6 @@ impl PatternAssembler {
     }
 }
 
-/// A direct solver for square sparse systems `A x = b`.
-///
-/// `factor` may cache symbolic work keyed on the matrix's shared
-/// [`SparsityPattern`]; `solve_factored` reuses the latest factors for
-/// any number of right-hand sides.
-pub trait LinearSolver: std::fmt::Debug {
-    /// Factors `a`, replacing any previously stored factors. A failed
-    /// factorisation discards the previous factors as well (they may
-    /// have been partially overwritten), so `solve_factored` errors
-    /// rather than mixing stale and new data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::SingularMatrix`] for (numerically)
-    /// singular input and [`NumericsError::InvalidInput`] for non-square
-    /// input.
-    fn factor(&mut self, a: &CsrMatrix) -> Result<(), NumericsError>;
-
-    /// Solves `A x = b` with the stored factors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::InvalidInput`] when there are no valid
-    /// factors (never factored, or the last factor failed) or `b` has
-    /// the wrong length.
-    fn solve_factored(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError>;
-
-    /// Factors `a` and solves in one call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`LinearSolver::factor`] and
-    /// [`LinearSolver::solve_factored`].
-    fn solve(&mut self, a: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
-        self.factor(a)?;
-        self.solve_factored(b)
-    }
-
-    /// Multiply–accumulate + divide count of the most recent
-    /// factorisation.
-    fn factor_ops(&self) -> u64;
-
-    /// Factors `a` under the partial-refactorization contract (module
-    /// invariant 4): the caller promises that every pattern slot *not*
-    /// listed in `changed_slots` holds a value bitwise identical to the
-    /// previous successful factorisation. Solvers without a partial
-    /// path ignore the hint and run a full [`LinearSolver::factor`],
-    /// which is always a correct (if slower) implementation of the
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LinearSolver::factor`].
-    fn factor_partial(
-        &mut self,
-        a: &CsrMatrix,
-        changed_slots: &[usize],
-    ) -> Result<(), NumericsError> {
-        let _ = changed_slots;
-        self.factor(a)
-    }
-
-    /// Cumulative factorisation-path statistics. Solvers without path
-    /// tracking report all zeros.
-    fn factor_stats(&self) -> FactorPathStats {
-        FactorPathStats::default()
-    }
-}
-
 /// Exact operation count (divisions + multiply–subtracts) of the dense
 /// partial-pivoting LU in [`Matrix::lu`] for an `n × n` matrix.
 pub fn dense_lu_ops(n: usize) -> u64 {
@@ -1021,8 +912,6 @@ pub struct DenseLuSolver {
     buffer: Option<Matrix>,
     factors: Option<crate::linalg::LuDecomposition>,
     ops: u64,
-    factors_done: u64,
-    columns_done: u64,
 }
 
 impl DenseLuSolver {
@@ -1030,10 +919,17 @@ impl DenseLuSolver {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl LinearSolver for DenseLuSolver {
-    fn factor(&mut self, a: &CsrMatrix) -> Result<(), NumericsError> {
+    /// Factors `a`, replacing any previously stored factors. A failed
+    /// factorisation discards the previous factors as well, so
+    /// `solve_factored` errors rather than serving stale factors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericsError::SingularMatrix`] for (numerically)
+    /// singular input and [`NumericsError::InvalidInput`] for non-square
+    /// input.
+    pub fn factor(&mut self, a: &CsrMatrix) -> Result<(), NumericsError> {
         let n = a.rows();
         if n != a.cols() {
             return Err(NumericsError::InvalidInput(format!(
@@ -1052,8 +948,6 @@ impl LinearSolver for DenseLuSolver {
             Ok(f) => {
                 self.factors = Some(f);
                 self.ops = dense_lu_ops(n);
-                self.factors_done += 1;
-                self.columns_done += n as u64;
                 Ok(())
             }
             Err(e) => {
@@ -1063,7 +957,14 @@ impl LinearSolver for DenseLuSolver {
         }
     }
 
-    fn solve_factored(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
+    /// Solves `A x = b` with the stored factors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericsError::InvalidInput`] when there are no valid
+    /// factors (never factored, or the last factor failed) or `b` has
+    /// the wrong length.
+    pub fn solve_factored(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
         let f = self.factors.as_ref().ok_or_else(|| {
             NumericsError::InvalidInput("solve_factored called before factor".into())
         })?;
@@ -1077,18 +978,21 @@ impl LinearSolver for DenseLuSolver {
         Ok(f.solve(b))
     }
 
-    fn factor_ops(&self) -> u64 {
-        self.ops
+    /// Factors `a` and solves in one call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the errors of [`DenseLuSolver::factor`] and
+    /// [`DenseLuSolver::solve_factored`].
+    pub fn solve(&mut self, a: &CsrMatrix, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
+        self.factor(a)?;
+        self.solve_factored(b)
     }
 
-    fn factor_stats(&self) -> FactorPathStats {
-        // Every dense factorisation is a full pivot-searching one.
-        FactorPathStats {
-            symbolic_factorizations: self.factors_done,
-            columns_recomputed: self.columns_done,
-            columns_total: self.columns_done,
-            ..FactorPathStats::default()
-        }
+    /// Multiply–accumulate + divide count of the most recent
+    /// factorisation ([`dense_lu_ops`] of its dimension).
+    pub fn factor_ops(&self) -> u64 {
+        self.ops
     }
 }
 
@@ -1096,8 +1000,8 @@ impl LinearSolver for DenseLuSolver {
 ///
 /// The factorisation algorithm only needs field arithmetic plus a real
 /// magnitude for pivot decisions, so one implementation serves both the
-/// real Newton Jacobians (`f64`, via [`SparseLuSolver`]) and the complex
-/// AC small-signal systems `G + jωC` ([`Complex`], via [`SparseLu`]).
+/// real Newton Jacobians (`f64`) and the complex AC small-signal
+/// systems `G + jωC` ([`Complex`]).
 pub trait LuScalar:
     Copy
     + std::fmt::Debug
@@ -1164,10 +1068,9 @@ impl LuScalar for Complex {
 /// If a frozen pivot collapses numerically the solver transparently
 /// redoes the pivoting factorisation.
 ///
-/// For real systems assembled as [`CsrMatrix`], use the
-/// [`SparseLuSolver`] wrapper (which implements [`LinearSolver`]); use
-/// this type directly for complex-valued systems such as AC sweeps,
-/// where one frozen pattern is re-valued per frequency point:
+/// A real system assembled as a [`CsrMatrix`] `a` is factored with
+/// `factor(a.pattern(), a.values())`. A complex-valued system such as
+/// an AC sweep re-values one frozen pattern per frequency point:
 ///
 /// ```
 /// use cntfet_numerics::complex::Complex;
@@ -1186,8 +1089,9 @@ impl LuScalar for Complex {
 ///     let x = lu.solve_factored(&[Complex::ONE, Complex::ONE]).unwrap();
 ///     assert!((x[0] - Complex::ONE / Complex::new(1.0, omega)).abs() < 1e-15);
 /// }
-/// assert_eq!(lu.symbolic_factor_count(), 1); // ordered once,
-/// assert_eq!(lu.refactor_count(), 2); // re-valued afterwards
+/// let paths = lu.factor_path_stats();
+/// assert_eq!(paths.symbolic_factorizations, 1); // ordered once,
+/// assert_eq!(paths.replay_refactorizations, 2); // re-valued afterwards
 /// ```
 #[derive(Debug)]
 pub struct SparseLu<T> {
@@ -1304,21 +1208,6 @@ impl<T: LuScalar> SparseLu<T> {
     /// Creates an empty solver.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of full (pivot-searching) factorisations performed.
-    pub fn symbolic_factor_count(&self) -> u64 {
-        self.symbolic_factors
-    }
-
-    /// Number of fast pattern-replay factorisations performed.
-    pub fn refactor_count(&self) -> u64 {
-        self.refactors
-    }
-
-    /// Number of partial (changed-slot) refactorisations performed.
-    pub fn partial_refactor_count(&self) -> u64 {
-        self.partial_refactors
     }
 
     /// Cumulative factorisation-path statistics.
@@ -1957,80 +1846,6 @@ impl<T: LuScalar> SparseLu<T> {
     }
 }
 
-/// The real-valued sparse LU behind the circuit engine's sparse Newton
-/// solves: a thin [`LinearSolver`] adapter over [`SparseLu<f64>`] that
-/// factors assembled [`CsrMatrix`] Jacobians. See [`SparseLu`] for the
-/// elimination-plan caching semantics.
-#[derive(Debug, Default)]
-pub struct SparseLuSolver {
-    core: SparseLu<f64>,
-}
-
-impl SparseLuSolver {
-    /// Creates an empty solver.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of full (pivot-searching) factorisations performed.
-    pub fn symbolic_factor_count(&self) -> u64 {
-        self.core.symbolic_factor_count()
-    }
-
-    /// Number of fast pattern-replay factorisations performed.
-    pub fn refactor_count(&self) -> u64 {
-        self.core.refactor_count()
-    }
-
-    /// Number of partial (changed-slot) refactorisations performed.
-    pub fn partial_refactor_count(&self) -> u64 {
-        self.core.partial_refactor_count()
-    }
-
-    /// Number of stored L+U entries of the current elimination plan
-    /// (0 before the first factorisation).
-    pub fn factor_nnz(&self) -> usize {
-        self.core.factor_nnz()
-    }
-
-    /// The fill-reducing ordering used for new elimination plans.
-    pub fn ordering(&self) -> FillOrdering {
-        self.core.ordering()
-    }
-
-    /// Sets the fill-reducing ordering for future elimination plans.
-    pub fn set_ordering(&mut self, ordering: FillOrdering) {
-        self.core.set_ordering(ordering);
-    }
-}
-
-impl LinearSolver for SparseLuSolver {
-    fn factor(&mut self, a: &CsrMatrix) -> Result<(), NumericsError> {
-        self.core.factor(a.pattern(), a.values())
-    }
-
-    fn factor_partial(
-        &mut self,
-        a: &CsrMatrix,
-        changed_slots: &[usize],
-    ) -> Result<(), NumericsError> {
-        self.core
-            .factor_partial(a.pattern(), a.values(), changed_slots)
-    }
-
-    fn solve_factored(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
-        self.core.solve_factored(b)
-    }
-
-    fn factor_ops(&self) -> u64 {
-        self.core.factor_ops()
-    }
-
-    fn factor_stats(&self) -> FactorPathStats {
-        self.core.factor_path_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2163,11 +1978,19 @@ mod tests {
         asm.add(1, 0, 1.0);
     }
 
+    /// Factors `a` with `lu` and solves `a x = b`.
+    fn sparse_solve(
+        lu: &mut SparseLu<f64>,
+        a: &CsrMatrix,
+        b: &[f64],
+    ) -> Result<Vec<f64>, NumericsError> {
+        lu.factor(a.pattern(), a.values())?;
+        lu.solve_factored(b)
+    }
+
     fn solve_both(a: &CsrMatrix, b: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let mut dense = DenseLuSolver::new();
-        let mut sparse = SparseLuSolver::new();
-        let xd = dense.solve(a, b).expect("dense solve");
-        let xs = sparse.solve(a, b).expect("sparse solve");
+        let xd = DenseLuSolver::new().solve(a, b).expect("dense solve");
+        let xs = sparse_solve(&mut SparseLu::new(), a, b).expect("sparse solve");
         (xd, xs)
     }
 
@@ -2194,8 +2017,7 @@ mod tests {
         t.push(2, 0, 1.0);
         t.push(2, 2, 0.0);
         let a = t.to_csr();
-        let mut sparse = SparseLuSolver::new();
-        let x = sparse.solve(&a, &[0.0, 2e-3, 5.0]).expect("solve");
+        let x = sparse_solve(&mut SparseLu::new(), &a, &[0.0, 2e-3, 5.0]).expect("solve");
         assert!((x[0] - 5.0).abs() < 1e-12);
         assert!((x[1] - 1.0).abs() < 1e-12);
         assert!((x[2] + 5e-3).abs() < 1e-12);
@@ -2214,15 +2036,19 @@ mod tests {
             asm.add(2, 1, -1e-3);
             asm.add(2, 2, 2e-3);
         };
-        let mut sparse = SparseLuSolver::new();
+        let mut sparse = SparseLu::<f64>::new();
         stamp(&mut asm, 1.0);
-        sparse.factor(asm.finish()).expect("first factor");
-        assert_eq!(sparse.symbolic_factor_count(), 1);
+        let a = asm.finish();
+        sparse
+            .factor(a.pattern(), a.values())
+            .expect("first factor");
+        assert_eq!(sparse.factor_path_stats().symbolic_factorizations, 1);
         stamp(&mut asm, 2.5);
         let a = asm.finish();
-        sparse.factor(a).expect("refactor");
-        assert_eq!(sparse.symbolic_factor_count(), 1, "pattern reused");
-        assert_eq!(sparse.refactor_count(), 1);
+        sparse.factor(a.pattern(), a.values()).expect("refactor");
+        let paths = sparse.factor_path_stats();
+        assert_eq!(paths.symbolic_factorizations, 1, "pattern reused");
+        assert_eq!(paths.replay_refactorizations, 1);
         let b = [1.0, 0.0, -1.0];
         let x = sparse.solve_factored(&b).expect("solve");
         let mut dense = DenseLuSolver::new();
@@ -2236,13 +2062,12 @@ mod tests {
     fn singular_matrix_is_reported_by_both() {
         let a = csr_from_dense(&[&[1.0, 2.0], &[2.0, 4.0]]);
         let mut dense = DenseLuSolver::new();
-        let mut sparse = SparseLuSolver::new();
         assert!(matches!(
             dense.solve(&a, &[1.0, 2.0]),
             Err(NumericsError::SingularMatrix { .. })
         ));
         assert!(matches!(
-            sparse.solve(&a, &[1.0, 2.0]),
+            sparse_solve(&mut SparseLu::new(), &a, &[1.0, 2.0]),
             Err(NumericsError::SingularMatrix { .. })
         ));
     }
@@ -2253,9 +2078,8 @@ mod tests {
         t.push(0, 0, 1.0);
         t.push(1, 0, 2.0);
         let a = t.to_csr();
-        let mut sparse = SparseLuSolver::new();
         assert!(matches!(
-            sparse.factor(&a),
+            SparseLu::<f64>::new().factor(a.pattern(), a.values()),
             Err(NumericsError::SingularMatrix { .. })
         ));
     }
@@ -2273,9 +2097,11 @@ mod tests {
         }
         let a = t.to_csr();
         let mut dense = DenseLuSolver::new();
-        let mut sparse = SparseLuSolver::new();
+        let mut sparse = SparseLu::<f64>::new();
         dense.factor(&a).expect("dense factor");
-        sparse.factor(&a).expect("sparse factor");
+        sparse
+            .factor(a.pattern(), a.values())
+            .expect("sparse factor");
         assert!(
             sparse.factor_ops() < dense.factor_ops() / 100,
             "tridiagonal LU should be ~O(n): sparse {} vs dense {}",
@@ -2283,7 +2109,7 @@ mod tests {
             dense.factor_ops()
         );
         // Same count when replaying the pattern.
-        sparse.factor(&a).expect("refactor");
+        sparse.factor(a.pattern(), a.values()).expect("refactor");
         let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let xs = sparse.solve_factored(&b).expect("solve");
         let xd = dense.solve_factored(&b).expect("solve");
@@ -2363,8 +2189,9 @@ mod tests {
                 assert!((acc - Complex::ONE).abs() < 1e-12, "row {r}: {acc}");
             }
         }
-        assert_eq!(lu.symbolic_factor_count(), 1, "ordered exactly once");
-        assert_eq!(lu.refactor_count(), 3, "re-valued per frequency");
+        let paths = lu.factor_path_stats();
+        assert_eq!(paths.symbolic_factorizations, 1, "ordered exactly once");
+        assert_eq!(paths.replay_refactorizations, 3, "re-valued per frequency");
         assert_eq!(lu.factor_ops(), first_ops, "replay costs the same ops");
     }
 
@@ -2420,7 +2247,7 @@ mod tests {
     #[test]
     fn solve_before_factor_is_an_error() {
         let dense = DenseLuSolver::new();
-        let sparse = SparseLuSolver::new();
+        let sparse = SparseLu::<f64>::new();
         assert!(matches!(
             dense.solve_factored(&[1.0]),
             Err(NumericsError::InvalidInput(_))
@@ -2442,9 +2269,11 @@ mod tests {
         a2.add_at(0, 1, 2.0);
         a2.add_at(1, 0, 2.0);
         a2.add_at(1, 1, 4.0);
-        let mut sparse = SparseLuSolver::new();
-        sparse.factor(&a1).expect("first factor");
-        assert!(sparse.factor(&a2).is_err());
+        let mut sparse = SparseLu::<f64>::new();
+        sparse
+            .factor(a1.pattern(), a1.values())
+            .expect("first factor");
+        assert!(sparse.factor(a2.pattern(), a2.values()).is_err());
         assert!(matches!(
             sparse.solve_factored(&[1.0, 2.0]),
             Err(NumericsError::InvalidInput(_))
@@ -2457,7 +2286,9 @@ mod tests {
             Err(NumericsError::InvalidInput(_))
         ));
         // Both recover with a good matrix.
-        sparse.factor(&a1).expect("recovery factor");
+        sparse
+            .factor(a1.pattern(), a1.values())
+            .expect("recovery factor");
         dense.factor(&a1).expect("recovery factor");
         assert!(sparse.solve_factored(&[1.0, 2.0]).is_ok());
         assert!(dense.solve_factored(&[1.0, 2.0]).is_ok());
@@ -2476,8 +2307,8 @@ mod tests {
             t.to_csr()
         };
         let a1 = stamp(4.0, 1.0);
-        let mut sparse = SparseLuSolver::new();
-        sparse.factor(&a1).expect("factor 1");
+        let mut sparse = SparseLu::<f64>::new();
+        sparse.factor(a1.pattern(), a1.values()).expect("factor 1");
         // Same pattern object is required for the replay path; rebuild
         // with identical structure and tiny pivot.
         let mut a2 = a1.clone();
@@ -2486,7 +2317,9 @@ mod tests {
         a2.add_at(0, 1, 1.0);
         a2.add_at(1, 0, 1.0);
         a2.add_at(1, 1, 1.0);
-        sparse.factor(&a2).expect("factor 2 re-pivots");
+        sparse
+            .factor(a2.pattern(), a2.values())
+            .expect("factor 2 re-pivots");
         let x = sparse.solve_factored(&[1.0, 2.0]).expect("solve");
         let mut dense = DenseLuSolver::new();
         let xd = dense.solve(&a2, &[1.0, 2.0]).expect("dense");
@@ -2610,13 +2443,16 @@ mod tests {
         let a1 = stamp(4.0);
         let mut lu = SparseLu::<f64>::new();
         lu.factor(a1.pattern(), a1.values()).expect("factor 1");
-        let sym_before = lu.symbolic_factor_count();
+        let sym_before = lu.factor_path_stats().symbolic_factorizations;
         let mut vals = a1.values().to_vec();
         let s = a1.pattern().slot(0, 0).unwrap();
         vals[s] = 1e-30;
         lu.factor_partial(a1.pattern(), &vals, &[s])
             .expect("collapse re-pivots transparently");
-        assert_eq!(lu.symbolic_factor_count(), sym_before + 1);
+        assert_eq!(
+            lu.factor_path_stats().symbolic_factorizations,
+            sym_before + 1
+        );
         let x = lu.solve_factored(&[1.0, 2.0]).expect("solve");
         let mut dense = DenseLuSolver::new();
         let a2 = stamp(1e-30);
@@ -2643,8 +2479,9 @@ mod tests {
         let mut lu = SparseLu::<f64>::new();
         lu.factor_partial(a.pattern(), a.values(), &[0])
             .expect("first-call partial factors fully");
-        assert_eq!(lu.symbolic_factor_count(), 1);
-        assert_eq!(lu.partial_refactor_count(), 0);
+        let paths = lu.factor_path_stats();
+        assert_eq!(paths.symbolic_factorizations, 1);
+        assert_eq!(paths.partial_refactorizations, 0);
         assert!(lu.solve_factored(&[1.0; 8]).is_ok());
     }
 
@@ -2653,7 +2490,6 @@ mod tests {
         let a = ladder(16);
         for order in [
             ascending_degree_order(a.pattern()),
-            amd_order(a.pattern()),
             btf_amd_order(a.pattern()),
         ] {
             let mut sorted = order.clone();
@@ -2696,8 +2532,8 @@ mod tests {
     fn row_equilibrated_pivoting_adds_no_fill_on_mixed_scale_rows() {
         let a = mixed_scale_rows();
         let b = a.mul_vec(&[1.0, -2.0, 0.5, 3.0]);
-        let mut sparse = SparseLuSolver::new();
-        let xs = sparse.solve(&a, &b).expect("sparse solve");
+        let mut sparse = SparseLu::new();
+        let xs = sparse_solve(&mut sparse, &a, &b).expect("sparse solve");
         assert_eq!(sparse.factor_nnz(), a.nnz(), "the plan adds no fill");
         let xd = DenseLuSolver::new().solve(&a, &b).expect("dense solve");
         let scale = xd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
@@ -2873,7 +2709,11 @@ mod tests {
                     assert_eq!(p.im.to_bits(), f.im.to_bits());
                 }
             }
-            let paths = (lu.refactor_count(), lu.partial_refactor_count());
+            let stats = lu.factor_path_stats();
+            let paths = (
+                stats.replay_refactorizations,
+                stats.partial_refactorizations,
+            );
             if dyn_slots.len() == n {
                 assert_eq!(paths, (3, 0));
             } else {

@@ -7,7 +7,7 @@ use cntfet_numerics::polynomial::Polynomial;
 use cntfet_numerics::quadrature::{adaptive_simpson, gauss_legendre};
 use cntfet_numerics::rootfind::{bisection, brent, RootFindOptions};
 use cntfet_numerics::roots::{real_roots, solve_cubic, solve_quadratic};
-use cntfet_numerics::sparse::{DenseLuSolver, LinearSolver, SparseLuSolver, TripletMatrix};
+use cntfet_numerics::sparse::{DenseLuSolver, SparseLu, TripletMatrix};
 use cntfet_numerics::stats::{relative_rms_percent, rms};
 use proptest::prelude::*;
 
@@ -168,13 +168,19 @@ proptest! {
         prop_assert!(relative_rms_percent(&perturbed, &values) > 0.0);
     }
 
-    /// Random diagonally-dominant banded systems: the sparse LU (with
-    /// its cached-pattern replay) agrees with the dense fallback, both
-    /// through the shared `LinearSolver` trait.
+    /// Random banded systems with random extra couplings: the sparse LU
+    /// agrees with the dense reference. Then a random subset of slots
+    /// changes, and `factor_partial` on the bitwise-diff changed list
+    /// (which may replay only some elimination steps) solves bitwise
+    /// equal to a second `SparseLu` that froze the same plan and
+    /// replayed it in full — the partial-refactorisation contract.
     #[test]
     fn sparse_and_dense_solvers_agree(
         diag in proptest::collection::vec(1.0f64..10.0, 4..24),
         off in proptest::collection::vec(-0.9f64..0.9, 3..23),
+        link_rows in proptest::collection::vec(0usize..24, 0..6),
+        link_cols in proptest::collection::vec(0usize..24, 0..6),
+        picks in proptest::collection::vec(0usize..1000, 0..6),
         rhs_scale in -5.0f64..5.0,
     ) {
         let n = diag.len().min(off.len() + 1);
@@ -186,31 +192,64 @@ proptest! {
                 t.push(i + 1, i, off[i] * 0.5);
             }
         }
+        for (&r, &c) in link_rows.iter().zip(&link_cols) {
+            t.push(r % n, c % n, 0.1);
+        }
         let a = t.to_csr();
+        let pattern = a.pattern();
         let b: Vec<f64> = (0..n).map(|i| rhs_scale * (i as f64 + 1.0)).collect();
         let mut dense = DenseLuSolver::new();
-        let mut sparse = SparseLuSolver::new();
+        let mut sparse = SparseLu::<f64>::new();
+        let mut full = SparseLu::<f64>::new();
         let xd = dense.solve(&a, &b).expect("dense solve");
-        let xs = sparse.solve(&a, &b).expect("sparse solve");
+        sparse.factor(pattern, a.values()).expect("sparse factor");
+        full.factor(pattern, a.values()).expect("sparse factor");
+        let xs = sparse.solve_factored(&b).expect("sparse solve");
         let scale = 1.0 + xd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         for (d, s) in xd.iter().zip(&xs) {
             prop_assert!((d - s).abs() <= 1e-10 * scale, "{d} vs {s}");
         }
-        // Replay the cached pattern with perturbed values: still agrees.
+        // Perturb the picked slots (diagonals grow, couplings shrink, so
+        // the system stays as well conditioned) and list the changed
+        // slots from a bitwise diff, as the engine does.
         let mut a2 = a.clone();
         a2.set_zero();
-        for i in 0..n {
-            a2.add_at(i, i, diag[i] + 0.25);
-            if i + 1 < n {
-                a2.add_at(i, i + 1, off[i] * 0.75);
-                a2.add_at(i + 1, i, off[i] * 0.25);
+        for r in 0..n {
+            for (slot, &c) in pattern.row_range(r).zip(pattern.row_cols(r)) {
+                let v = a.values()[slot];
+                let picked = picks.iter().any(|&p| p % a.nnz() == slot);
+                let factor = if !picked { 1.0 } else if r == c { 1.5 } else { 0.5 };
+                a2.add_at(r, c, v * factor);
             }
         }
+        let changed: Vec<usize> = (0..a.nnz())
+            .filter(|&slot| a2.values()[slot].to_bits() != a.values()[slot].to_bits())
+            .collect();
+        let before = sparse.factor_path_stats();
+        sparse
+            .factor_partial(pattern, a2.values(), &changed)
+            .expect("partial refactor");
+        // One factorisation ran; on the partial path it replayed only
+        // some of the steps.
+        let paths = sparse.factor_path_stats().delta_since(&before);
+        let runs = paths.symbolic_factorizations
+            + paths.replay_refactorizations
+            + paths.partial_refactorizations;
+        prop_assert!(runs == 1, "{paths:?}");
+        prop_assert!(
+            paths.partial_refactorizations == 0 || paths.columns_recomputed < paths.columns_total,
+            "{paths:?}"
+        );
+        full.factor(pattern, a2.values()).expect("full replay");
+        let xp = sparse.solve_factored(&b).expect("solve after partial");
+        let xf = full.solve_factored(&b).expect("solve after full replay");
+        for (p, f) in xp.iter().zip(&xf) {
+            prop_assert!(p.to_bits() == f.to_bits(), "{p} vs {f}");
+        }
         let xd2 = dense.solve(&a2, &b).expect("dense solve 2");
-        let xs2 = sparse.solve(&a2, &b).expect("sparse refactor solve");
-        prop_assert!(sparse.refactor_count() >= 1, "second factor must replay the pattern");
-        for (d, s) in xd2.iter().zip(&xs2) {
-            prop_assert!((d - s).abs() <= 1e-10 * scale, "{d} vs {s}");
+        let scale2 = 1.0 + xd2.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (d, s) in xd2.iter().zip(&xp) {
+            prop_assert!((d - s).abs() <= 1e-10 * scale2, "{d} vs {s}");
         }
     }
 }

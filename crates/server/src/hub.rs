@@ -693,6 +693,29 @@ mod tests {
     }
 
     #[test]
+    fn runaway_cards_fail_to_parse_and_the_worker_serves_on() {
+        // Each card would ask for 1e12 or more points or steps: they
+        // settle as parse errors, and the one worker then runs the next
+        // job.
+        let hub = Hub::new(1);
+        let workers = spawn_workers(&hub, 1);
+        for card in [".dc V1 0 1 1p", ".ac lin 1e12 1k 1meg", ".tran 1f 1"] {
+            let deck = format!("runaway\nV1 in 0 DC 1 AC 1\nR1 in 0 1k\n{card}\n.end\n");
+            let id = hub.submit(deck).unwrap();
+            let (code, message) = hub.result(id, true, false).unwrap_err();
+            assert_eq!(code, ErrorCode::ParseError, "{card}: {message}");
+            assert!(message.contains("the bound is 10000000"), "{message}");
+        }
+        let id = hub.submit(DIVIDER.to_string()).unwrap();
+        let result = hub.result(id, true, false).unwrap();
+        assert_eq!(result.get("state").and_then(Json::as_str), Some("done"));
+        hub.shutdown(false);
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
     fn queued_jobs_cancel_immediately_and_shutdown_rejects_submits() {
         let hub = Hub::new(1); // no workers spawned: stays queued
         let id = hub.submit(DIVIDER.to_string()).unwrap();
