@@ -80,7 +80,10 @@ pub use cache::{CacheStats, EnginePool, ModelCache};
 pub use error::{suggest, DeckError, SourceRef, Span};
 pub use lex::parse_number;
 pub use lint::{Finding, LintCode, LintOptions, LintReport, Severity};
-pub use run::{AnalysisReport, CardStats, DeckRun, ReportHeader, RunCaches, RunContext, RunEvent};
+pub use run::{
+    push_csv_rows, AnalysisReport, CardStats, DeckRun, ReportHeader, RunCaches, RunContext,
+    RunEvent,
+};
 
 use crate::cnfet::Polarity;
 use crate::element::Waveform;

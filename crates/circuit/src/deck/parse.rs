@@ -912,7 +912,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Next token as a numeric value: a SPICE number, a `{ … }`
+    /// Next token as a finite numeric value: a SPICE number, a `{ … }`
     /// expression, or a bare parameter name.
     fn next_value(&mut self, what: &str) -> Result<(f64, super::Span), DeckError> {
         let i = self.i;
@@ -920,7 +920,14 @@ impl<'a> Cursor<'a> {
         match &t.kind {
             TokenKind::Word(w) => {
                 if let Some(v) = super::lex::parse_number(w) {
-                    Ok((v, t.span))
+                    if v.is_finite() {
+                        Ok((v, t.span))
+                    } else {
+                        Err(self.error_at(
+                            i,
+                            format!("expected {what}, but '{w}' is not a finite number"),
+                        ))
+                    }
                 } else if let Some(&v) = self.params.get(w.as_str()) {
                     self.used.borrow_mut().insert(w.clone());
                     Ok((v, t.span))

@@ -58,17 +58,12 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    /// Renders as CSV: a header line, then one line per row. Numbers
-    /// are printed exactly (shortest text that reparses to the same
-    /// f64), so CSV output round-trips bit-for-bit.
+    /// Renders as CSV: a header line, then one line per row from
+    /// [`push_csv_rows`].
     pub fn to_csv(&self) -> String {
         let mut out = self.columns.join(",");
         out.push('\n');
-        for row in &self.rows {
-            let cells: Vec<String> = row.iter().map(|v| format!("{v:e}")).collect();
-            out.push_str(&cells.join(","));
-            out.push('\n');
-        }
+        push_csv_rows(&mut out, &self.rows);
         out
     }
 
@@ -110,6 +105,24 @@ impl AnalysisReport {
             out.push('\n');
         }
         out
+    }
+}
+
+/// Appends `rows` to `out` as CSV lines without a header: each number
+/// printed exactly (`{v:e}`, the shortest text that reparses to the
+/// same f64, so CSV output round-trips bit-for-bit), comma-separated,
+/// one newline-terminated line per row. [`AnalysisReport::to_csv`] and
+/// the server's streamed row batches both render rows here, so a
+/// streamed batch is bitwise the matching lines of the report CSV.
+pub fn push_csv_rows(out: &mut String, rows: &[Vec<f64>]) {
+    for row in rows {
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{v:e}");
+        }
+        out.push('\n');
     }
 }
 

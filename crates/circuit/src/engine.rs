@@ -426,7 +426,7 @@ const GMIN_STEP_START: f64 = 1e-3;
 const GMIN_STEP_FACTOR: f64 = 0.1;
 
 /// The gmin ladder stops ramping below this conductance (siemens) and
-/// hands over to the final stage at the caller's own gmin: below
+/// hands over to the final stage without the leak: below
 /// ~1e-12 S the stepping solutions are indistinguishable from the
 /// unregularized one at the engine's current tolerances.
 const GMIN_STEP_FLOOR: f64 = 1e-12;
@@ -957,8 +957,8 @@ impl NewtonEngine {
         Ok(LoopExit::Failed(max_iter))
     }
 
-    /// Runs one Newton solve from `x0` at the given analysis mode and
-    /// gmin, climbing the robustness ladder as needed: full Newton
+    /// Runs one Newton solve from `x0` at the given analysis mode,
+    /// climbing the robustness ladder as needed: full Newton
     /// steps → per-device voltage limiting → Armijo backtracking → (once
     /// the plain iteration stalls or exhausts its budget) the rescue:
     /// pseudo-transient continuation, then gmin stepping. A solve that
@@ -982,7 +982,6 @@ impl NewtonEngine {
         circuit: &Circuit,
         x0: &[f64],
         mode: &AnalysisMode,
-        gmin: f64,
     ) -> Result<(Vec<f64>, usize), CircuitError> {
         let n = circuit.unknown_count();
         if n == 0 {
@@ -992,7 +991,7 @@ impl NewtonEngine {
         let mut x = x0.to_vec();
         let mut ptc_used = false;
         let solved: Result<usize, CircuitError> =
-            match self.run_newton_loop(circuit, &mut x, mode, gmin, None, false) {
+            match self.run_newton_loop(circuit, &mut x, mode, 0.0, None, false) {
                 Ok(LoopExit::Converged(it)) => Ok(it),
                 // A stall escalates early; a burnt-out budget escalates
                 // late. Either way the plain iteration has failed —
@@ -1000,7 +999,7 @@ impl NewtonEngine {
                 // fix decks, never perturb converging ones.
                 Ok(LoopExit::Failed(it)) => {
                     ptc_used = true;
-                    self.rescue(circuit, &mut x, x0, mode, gmin, it)
+                    self.rescue(circuit, &mut x, x0, mode, it)
                 }
                 Err(e) => Err(e),
             };
@@ -1062,18 +1061,12 @@ impl NewtonEngine {
     /// Jacobian diagonals at the same point — exactly the `C·a0`
     /// companion conductance for capacitive rows, and ~0 for the
     /// (nearly) algebraic rows the pseudo-transient rescue targets.
-    fn dynamic_load(
-        &mut self,
-        circuit: &Circuit,
-        x: &[f64],
-        mode: &AnalysisMode,
-        gmin: f64,
-    ) -> Vec<f64> {
+    fn dynamic_load(&mut self, circuit: &Circuit, x: &[f64], mode: &AnalysisMode) -> Vec<f64> {
         let n = circuit.unknown_count();
         if matches!(mode, AnalysisMode::Dc) {
             return vec![0.0; n];
         }
-        self.assemble_into(circuit, x, mode, gmin, None, true);
+        self.assemble_into(circuit, x, mode, 0.0, None, true);
         let diag_t: Vec<f64> = {
             let m = self
                 .cache()
@@ -1081,7 +1074,7 @@ impl NewtonEngine {
                 .expect("assembly finished");
             (0..n).map(|i| m.get(i, i)).collect()
         };
-        self.assemble_into(circuit, x, &AnalysisMode::Dc, gmin, None, true);
+        self.assemble_into(circuit, x, &AnalysisMode::Dc, 0.0, None, true);
         let diag_dc: Vec<f64> = {
             let m = self
                 .cache()
@@ -1107,13 +1100,12 @@ impl NewtonEngine {
         x: &mut [f64],
         x0: &[f64],
         mode: &AnalysisMode,
-        gmin: f64,
         iters_used: usize,
     ) -> Result<usize, CircuitError> {
-        match self.ptc_rescue(circuit, x, mode, gmin, iters_used) {
+        match self.ptc_rescue(circuit, x, mode, iters_used) {
             Err(CircuitError::NoConvergence { iterations, .. }) => {
                 x.copy_from_slice(x0);
-                self.gmin_rescue(circuit, x, mode, gmin, iterations)
+                self.gmin_rescue(circuit, x, mode, iterations)
             }
             other => other,
         }
@@ -1122,7 +1114,7 @@ impl NewtonEngine {
     /// Gmin stepping, the final rescue rung: solves the system with a
     /// strong conductance to ground on every node diagonal (through
     /// the reserved gmin slots, so no re-pattern) and ramps it down
-    /// geometrically to the caller's `gmin`, warm-starting each stage
+    /// geometrically to `GMIN_STEP_FLOOR`, warm-starting each stage
     /// from the previous stage's solution. Unlike the PTC term, which
     /// anchors at the current (possibly poisoned) iterate, the gmin
     /// ladder anchors every node toward ground — exactly what carries
@@ -1141,7 +1133,6 @@ impl NewtonEngine {
         circuit: &Circuit,
         x: &mut [f64],
         mode: &AnalysisMode,
-        gmin: f64,
         iters_used: usize,
     ) -> Result<usize, CircuitError> {
         let mut total = iters_used;
@@ -1149,18 +1140,17 @@ impl NewtonEngine {
         let mut factor = GMIN_STEP_FACTOR;
         // Last converged rung: (conductance, solution).
         let mut good: Option<(f64, Vec<f64>)> = None;
-        let floor = GMIN_STEP_FLOOR.max(gmin);
         for _stage in 0..GMIN_MAX_STAGES {
             let exit = self.run_newton_loop(circuit, x, mode, g, None, true)?;
             match exit {
                 LoopExit::Converged(it) => {
                     total += it;
                     self.counters.ptc_steps += 1;
-                    if g <= floor {
+                    if g <= GMIN_STEP_FLOOR {
                         break;
                     }
                     good = Some((g, x.to_vec()));
-                    g = (g * factor).max(floor);
+                    g = (g * factor).max(GMIN_STEP_FLOOR);
                 }
                 LoopExit::Failed(it) => {
                     total += it;
@@ -1172,7 +1162,7 @@ impl NewtonEngine {
                     match &good {
                         Some((gg, gx)) if factor < GMIN_FACTOR_GIVEUP => {
                             x.copy_from_slice(gx);
-                            g = (gg * factor).max(floor);
+                            g = (gg * factor).max(GMIN_STEP_FLOOR);
                         }
                         _ => {
                             return Err(CircuitError::NoConvergence {
@@ -1185,9 +1175,9 @@ impl NewtonEngine {
                 }
             }
         }
-        // Final stage at the caller's own gmin: a success here is a
-        // true solution of the original system.
-        match self.run_newton_loop(circuit, x, mode, gmin, None, true)? {
+        // Final stage without the leak: a success here is a true
+        // solution of the original system.
+        match self.run_newton_loop(circuit, x, mode, 0.0, None, true)? {
             LoopExit::Converged(it) => {
                 total += it;
                 self.counters.ptc_steps += 1;
@@ -1219,10 +1209,9 @@ impl NewtonEngine {
         circuit: &Circuit,
         x: &mut [f64],
         mode: &AnalysisMode,
-        gmin: f64,
         iters_used: usize,
     ) -> Result<usize, CircuitError> {
-        let load = self.dynamic_load(circuit, x, mode, gmin);
+        let load = self.dynamic_load(circuit, x, mode);
         // Only node (KCL) rows are regularized: `g` is a conductance,
         // commensurate with current-balance rows. Element rows (source
         // constraints in volts, CNFET charge balances in C/m) live on
@@ -1242,7 +1231,7 @@ impl NewtonEngine {
         // progress, so the ramp crawls while the hard region is being
         // crossed and accelerates once the iterate closes in on the
         // solution. A failed stage restores its anchor and stiffens.
-        self.assemble_into(circuit, x, mode, gmin, None, true);
+        self.assemble_into(circuit, x, mode, 0.0, None, true);
         let mut fprev = inf_norm(&self.residual);
         // See-saw bound: failed stages that never improve on the best
         // true residual seen are counted; past PTC_MAX_STIFFENS the
@@ -1257,7 +1246,7 @@ impl NewtonEngine {
                     anchor: &anchor,
                     mask: &mask,
                 };
-                self.run_newton_loop(circuit, x, mode, gmin, Some(&term), true)
+                self.run_newton_loop(circuit, x, mode, 0.0, Some(&term), true)
             };
             let spent = match exit {
                 Ok(LoopExit::Converged(it)) => {
@@ -1266,7 +1255,7 @@ impl NewtonEngine {
                     // The stage solved the *regularized* system; accept
                     // as soon as the true system meets the same per-row
                     // tolerances plain Newton stops at.
-                    self.assemble_into(circuit, x, mode, gmin, None, true);
+                    self.assemble_into(circuit, x, mode, 0.0, None, true);
                     if self.converged(circuit) {
                         return Ok(total);
                     }
@@ -1370,7 +1359,7 @@ impl NewtonEngine {
     ) -> Result<Solution, CircuitError> {
         self.check_dc_structure(circuit)?;
         let x0 = initial.map_or_else(|| vec![0.0; circuit.unknown_count()], <[f64]>::to_vec);
-        let (x, iterations) = self.newton(circuit, &x0, &AnalysisMode::Dc, 0.0)?;
+        let (x, iterations) = self.newton(circuit, &x0, &AnalysisMode::Dc)?;
         Ok(Solution { x, iterations })
     }
 }
@@ -1517,11 +1506,11 @@ mod tests {
         engine.dc_operating_point(&c, None).unwrap();
         assert_eq!(engine.pattern_builds(), 1);
         let x = vec![0.0; n];
-        engine.newton(&c, &x, &tran(1e-9), 0.0).unwrap();
+        engine.newton(&c, &x, &tran(1e-9)).unwrap();
         assert_eq!(engine.pattern_builds(), 2, "transient kind builds its own");
         // Alternating kinds reuses both slots: no further builds.
         engine.dc_operating_point(&c, None).unwrap();
-        engine.newton(&c, &x, &tran(2e-9), 0.0).unwrap();
+        engine.newton(&c, &x, &tran(2e-9)).unwrap();
         engine.dc_operating_point(&c, None).unwrap();
         assert_eq!(engine.pattern_builds(), 2, "kind switches must not thrash");
     }

@@ -218,6 +218,16 @@ impl TransientOptions {
                 self.rel_tol, self.abs_tol
             )));
         }
+        // `min` and `clamp` would pass a NaN bound through unchecked.
+        for (name, bound) in [
+            ("dt_init", self.dt_init),
+            ("dt_min", self.dt_min),
+            ("dt_max", self.dt_max),
+        ] {
+            if bound.is_some_and(f64::is_nan) {
+                return Err(CircuitError::InvalidAnalysis(format!("{name} is NaN")));
+            }
+        }
         let dt_min = self.dt_min.unwrap_or(t_stop * 1e-12);
         let dt_max = self.dt_max.unwrap_or(t_stop / 10.0).min(t_stop);
         if !(dt_min > 0.0 && dt_min <= dt_max) {
@@ -368,7 +378,7 @@ fn step_newton(
     stamp: TransientStamp,
     stats: &mut TransientStats,
 ) -> Result<Vec<f64>, CircuitError> {
-    let solved = engine.newton(circuit, guess, &AnalysisMode::Transient(stamp), 0.0);
+    let solved = engine.newton(circuit, guess, &AnalysisMode::Transient(stamp));
     stats.newton_iterations += match &solved {
         Ok((_, it)) => *it,
         Err(CircuitError::NoConvergence { iterations, .. }) => *iterations,
@@ -504,9 +514,9 @@ pub(crate) fn transient_adaptive_core(
     options: &TransientOptions,
     observer: StepObserver<'_>,
 ) -> Result<TransientStats, CircuitError> {
-    if t_stop <= 0.0 {
+    if !(t_stop > 0.0 && t_stop.is_finite()) {
         return Err(CircuitError::InvalidAnalysis(format!(
-            "t_stop ({t_stop}) must be positive"
+            "t_stop ({t_stop}) must be positive and finite"
         )));
     }
     let (mut dt, dt_min, dt_max) = options.resolve(t_stop)?;
@@ -989,6 +999,20 @@ mod tests {
         };
         assert!(adaptive(rc(), 1e-6, &bad_bounds).is_err());
         assert!(adaptive(rc(), -1.0, &TransientOptions::default()).is_err());
+        let infinite = adaptive(rc(), f64::INFINITY, &TransientOptions::default());
+        assert!(
+            matches!(infinite, Err(CircuitError::InvalidAnalysis(_))),
+            "{infinite:?}"
+        );
+        let nan_dt_init = TransientOptions {
+            dt_init: Some(f64::NAN),
+            ..TransientOptions::default()
+        };
+        let nan_run = adaptive(rc(), 1e-6, &nan_dt_init);
+        assert!(
+            matches!(nan_run, Err(CircuitError::InvalidAnalysis(_))),
+            "{nan_run:?}"
+        );
     }
 
     #[test]
@@ -1033,7 +1057,7 @@ mod tests {
                 TransientStamp::bdf2(t, dt, 2.0 * dt, &state, &x)
             };
             let (nx, _) = engine
-                .newton(&ckt, &state, &AnalysisMode::Transient(stamp), 0.0)
+                .newton(&ckt, &state, &AnalysisMode::Transient(stamp))
                 .unwrap();
             state = nx;
         }

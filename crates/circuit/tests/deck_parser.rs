@@ -391,6 +391,36 @@ fn error_rendering_snapshots() {
     );
 }
 
+/// A literal too large for a double lexes to infinity; it must fail at
+/// its token instead of passing `--check` and failing (or silently
+/// stopping) at run time.
+#[test]
+fn non_finite_literals_are_parse_errors() {
+    let err = parse_err("non-finite tran\nV1 in 0 DC 1\nR1 in 0 1k\n.tran 1e999");
+    assert_eq!(
+        err.to_string(),
+        "deck:4:7: expected the stop time (or a step size), but '1e999' is not a finite number
+    4 | .tran 1e999
+      |       ^^^^^"
+    );
+
+    let err = parse_err("non-finite capacitor\nV1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1e999");
+    assert_eq!(
+        err.to_string(),
+        "deck:4:10: expected capacitance, but '1e999' is not a finite number
+    4 | C1 out 0 1e999
+      |          ^^^^^"
+    );
+
+    let err = parse_err("non-finite source\nV1 in 0 DC 1e999\nR1 in 0 1k");
+    assert_eq!(
+        err.to_string(),
+        "deck:2:12: expected the DC value, but '1e999' is not a finite number
+    2 | V1 in 0 DC 1e999
+      |            ^^^^^"
+    );
+}
+
 /// A mistyped step must not ask for more than `MAX_STEPS` points or
 /// steps (10 000 000): such a card fails at parse time, at the token
 /// that sets the count, instead of allocating every point or running

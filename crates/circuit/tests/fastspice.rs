@@ -9,16 +9,18 @@
 //!    runs the same arithmetic on the recomputed columns and reuses the
 //!    rest verbatim — the 1e-12 bound is the acceptance criterion's
 //!    safety margin.)
-//! 2. **Auto ordering never loses**: the `Auto` fill ordering (racing
-//!    AMD+BTF against the static ascending-degree order and keeping
-//!    the sparser elimination) never produces more fill than the
-//!    static order alone.
+//! 2. **The raced plan solves right**: the elimination plan `SparseLu`
+//!    freezes (the winner of its race between AMD+BTF and the static
+//!    ascending-degree order) solves assembled MNA Jacobians to within
+//!    1e-8 relative of the dense LU. That the race keeps the sparser
+//!    plan is checked by the `sparse` module's unit tests, which can
+//!    reach both candidates.
 
 use cntfet_circuit::element::AnalysisMode;
 use cntfet_circuit::prelude::*;
 use cntfet_circuit::transient::TransientOptions;
 use cntfet_core::CompactCntFet;
-use cntfet_numerics::sparse::{FillOrdering, SparseLu};
+use cntfet_numerics::sparse::{DenseLuSolver, SparseLu};
 use cntfet_reference::DeviceParams;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -135,11 +137,9 @@ proptest! {
     }
 
     /// Contract 2: on assembled MNA Jacobians from the same corpus, the
-    /// `Auto` ordering (AMD+BTF raced against the static order) never
-    /// has more factor fill than the static ascending-degree order, and
-    /// both factorizations solve to the same answer.
+    /// plan the ordering race freezes solves to the dense LU's answer.
     #[test]
-    fn auto_ordering_never_increases_fill(
+    fn raced_ordering_solves_like_dense(
         stages in 1usize..4,
         rungs in proptest::collection::vec(1e3f64..1e5, 2..6),
         vdd in 0.6f64..0.9,
@@ -151,26 +151,14 @@ proptest! {
         let (_, jac) = engine.assemble(&c, &x0, &AnalysisMode::Dc, 1e-9);
         let jac = jac.clone();
 
-        let factor_with = |ordering: FillOrdering| {
-            let mut lu = SparseLu::new();
-            lu.set_ordering(ordering);
-            lu.factor(jac.pattern(), jac.values()).expect("factor");
-            lu
-        };
-        let auto = factor_with(FillOrdering::Auto);
-        let fixed = factor_with(FillOrdering::AscendingDegree);
-        prop_assert!(
-            auto.factor_nnz() <= fixed.factor_nnz(),
-            "auto ordering lost: {} vs {} nnz",
-            auto.factor_nnz(),
-            fixed.factor_nnz()
-        );
+        let mut lu = SparseLu::new();
+        lu.factor(jac.pattern(), jac.values()).expect("factor");
         let rhs: Vec<f64> = (0..n).map(|i| ((i % 7) as f64 - 3.0) * 1e-6).collect();
-        let xa = auto.solve_factored(&rhs).expect("auto solve");
-        let xf = fixed.solve_factored(&rhs).expect("fixed solve");
-        let scale = cntfet_numerics::stats::inf_norm(&xf).max(1.0);
-        for (a, b) in xa.iter().zip(&xf) {
-            prop_assert!((a - b).abs() <= 1e-8 * scale, "{a} vs {b}");
+        let xs = lu.solve_factored(&rhs).expect("sparse solve");
+        let xd = DenseLuSolver::new().solve(&jac, &rhs).expect("dense solve");
+        let scale = cntfet_numerics::stats::inf_norm(&xd).max(1.0);
+        for (s, d) in xs.iter().zip(&xd) {
+            prop_assert!((s - d).abs() <= 1e-8 * scale, "{s} vs {d}");
         }
     }
 }

@@ -20,8 +20,8 @@
 use crate::json::Json;
 use crate::proto::ErrorCode;
 use cntfet_circuit::deck::{
-    AnalysisReport, CacheStats, CardStats, Deck, DeckRun, EnginePool, ModelCache, RunContext,
-    RunEvent,
+    push_csv_rows, AnalysisReport, CacheStats, CardStats, Deck, DeckRun, EnginePool, ModelCache,
+    RunContext, RunEvent,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -513,8 +513,8 @@ fn cache_stats_json(stats: CacheStats, size: u64) -> Json {
 }
 
 /// Renders one [`RunEvent`] as its wire JSON. Row batches become CSV
-/// *lines* (the deck layer's exact `{v:e}` cell format, no header), so
-/// streamed samples are bitwise-identical to the final report CSV.
+/// lines without a header, rendered by [`push_csv_rows`] as the final
+/// report CSV is, so streamed samples are bitwise-identical to it.
 pub fn render_event(event: &RunEvent) -> String {
     match event {
         RunEvent::ReportStart(h) => Json::obj(vec![
@@ -527,12 +527,16 @@ pub fn render_event(event: &RunEvent) -> String {
             ),
         ])
         .render(),
-        RunEvent::Rows { index, rows } => Json::obj(vec![
-            ("type", Json::str("rows")),
-            ("index", Json::num(*index as u64)),
-            ("csv", Json::Str(csv_lines(rows))),
-        ])
-        .render(),
+        RunEvent::Rows { index, rows } => {
+            let mut csv = String::new();
+            push_csv_rows(&mut csv, rows);
+            Json::obj(vec![
+                ("type", Json::str("rows")),
+                ("index", Json::num(*index as u64)),
+                ("csv", Json::Str(csv)),
+            ])
+            .render()
+        }
         RunEvent::ReportEnd { index, stats } => Json::obj(vec![
             ("type", Json::str("end")),
             ("index", Json::num(*index as u64)),
@@ -540,16 +544,6 @@ pub fn render_event(event: &RunEvent) -> String {
         ])
         .render(),
     }
-}
-
-fn csv_lines(rows: &[Vec<f64>]) -> String {
-    let mut out = String::new();
-    for row in rows {
-        let cells: Vec<String> = row.iter().map(|v| format!("{v:e}")).collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    out
 }
 
 /// Every engine counter as a JSON member, named as the engine names it.
