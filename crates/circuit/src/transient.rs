@@ -218,15 +218,12 @@ impl TransientOptions {
                 self.rel_tol, self.abs_tol
             )));
         }
-        // `min` and `clamp` would pass a NaN bound through unchecked.
-        for (name, bound) in [
-            ("dt_init", self.dt_init),
-            ("dt_min", self.dt_min),
-            ("dt_max", self.dt_max),
-        ] {
-            if bound.is_some_and(f64::is_nan) {
-                return Err(CircuitError::InvalidAnalysis(format!("{name} is NaN")));
-            }
+        // `clamp` and `min` would pass a NaN dt_init or dt_max through
+        // unchecked; a NaN dt_min fails the bounds test below.
+        if self.dt_init.is_some_and(f64::is_nan) || self.dt_max.is_some_and(f64::is_nan) {
+            return Err(CircuitError::InvalidAnalysis(
+                "dt_init and dt_max must not be NaN".into(),
+            ));
         }
         let dt_min = self.dt_min.unwrap_or(t_stop * 1e-12);
         let dt_max = self.dt_max.unwrap_or(t_stop / 10.0).min(t_stop);

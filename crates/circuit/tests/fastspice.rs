@@ -1,84 +1,26 @@
 //! Property tests of the fast-SPICE hot path.
 //!
-//! Two contracts, each over a randomised netlist corpus:
-//!
-//! 1. **Partial refactorization is exact**: solving with
-//!    `partial_refactor` on vs off agrees to ≤ 1e-12 on every node
-//!    voltage, across DC sweeps and transient step changes. (The
-//!    implementation is in fact bitwise-identical — the partial replay
-//!    runs the same arithmetic on the recomputed columns and reuses the
-//!    rest verbatim — the 1e-12 bound is the acceptance criterion's
-//!    safety margin.)
-//! 2. **The raced plan solves right**: the elimination plan `SparseLu`
-//!    freezes (the winner of its race between AMD+BTF and the static
-//!    ascending-degree order) solves assembled MNA Jacobians to within
-//!    1e-8 relative of the dense LU. That the race keeps the sparser
-//!    plan is checked by the `sparse` module's unit tests, which can
-//!    reach both candidates.
+//! **Partial refactorization is exact**: over a randomised netlist
+//! corpus, solving with `partial_refactor` on vs off agrees to ≤ 1e-12
+//! on every node voltage, across DC sweeps and transient step changes.
+//! (The implementation is in fact bitwise-identical — the partial
+//! replay runs the same arithmetic on the recomputed columns and reuses
+//! the rest verbatim — the 1e-12 bound is the acceptance criterion's
+//! safety margin.) The `sparse_vs_dense` tests check the same corpus's
+//! Newton steps against the dense LU.
 
-use cntfet_circuit::element::AnalysisMode;
+mod support;
+
 use cntfet_circuit::prelude::*;
 use cntfet_circuit::transient::TransientOptions;
-use cntfet_core::CompactCntFet;
-use cntfet_numerics::sparse::{DenseLuSolver, SparseLu};
-use cntfet_reference::DeviceParams;
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
-
-/// Shared compact model — fitted once for the whole test binary.
-fn model() -> Arc<CompactCntFet> {
-    static MODEL: OnceLock<Arc<CompactCntFet>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        Arc::new(CompactCntFet::model2(DeviceParams::paper_default()).expect("model 2 fit"))
-    }))
-}
-
-/// A mixed R/C/V/I + CNFET netlist: `stages` inverters off a resistor
-/// ladder, capacitive loads, and a small current-source disturbance.
-fn mixed_netlist(stages: usize, rungs: &[f64], vdd: f64, isrc: f64) -> Circuit {
-    let tech = CntTechnology::symmetric(model(), vdd);
-    let mut c = Circuit::new();
-    let vdd_node = c.node("vdd");
-    let vin = c.node("in");
-    c.add(VoltageSource::dc("VDD", vdd_node, Circuit::ground(), vdd));
-    c.add(VoltageSource::with_waveform(
-        "VIN",
-        vin,
-        Circuit::ground(),
-        Waveform::Pulse {
-            low: 0.05 * vdd,
-            high: 0.95 * vdd,
-            delay: 0.0,
-            rise: 20e-12,
-            width: 1.0,
-            fall: 20e-12,
-            period: 0.0,
-        },
-    ));
-    let outs = add_inverter_chain(&mut c, &tech, "chain", vin, stages, vdd_node);
-    // Resistor ladder hanging off the last stage output.
-    let mut prev = *outs.last().expect("stages > 0");
-    for (i, &r) in rungs.iter().enumerate() {
-        let nxt = c.node(&format!("lad{i}"));
-        c.add(Resistor::new(&format!("Rl{i}"), prev, nxt, r));
-        c.add(Capacitor::new(
-            &format!("Cl{i}"),
-            nxt,
-            Circuit::ground(),
-            1e-15,
-        ));
-        prev = nxt;
-    }
-    c.add(Resistor::new("Rend", prev, Circuit::ground(), 1e5));
-    c.add(CurrentSource::dc("I1", Circuit::ground(), prev, isrc));
-    c
-}
+use support::mixed_netlist;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Contract 1, DC: sweeping VDD re-values CNFET slots at every
-    /// point; partial-on and partial-off sweeps agree to ≤ 1e-12.
+    /// DC: sweeping VDD re-values CNFET slots at every point;
+    /// partial-on and partial-off sweeps agree to ≤ 1e-12.
     #[test]
     fn partial_refactor_matches_full_on_dc_sweeps(
         stages in 1usize..4,
@@ -103,9 +45,9 @@ proptest! {
         }
     }
 
-    /// Contract 1, transient: a pulse edge (step change) makes every
-    /// CNFET slot churn, then the tail goes quiescent; partial-on and
-    /// partial-off waveforms agree to ≤ 1e-12 at every stored state.
+    /// Transient: a pulse edge (step change) makes every CNFET slot
+    /// churn, then the tail goes quiescent; partial-on and partial-off
+    /// waveforms agree to ≤ 1e-12 at every stored state.
     #[test]
     fn partial_refactor_matches_full_on_transients(
         stages in 1usize..3,
@@ -133,32 +75,6 @@ proptest! {
             for (a, b) in xp.iter().zip(xf) {
                 prop_assert!((a - b).abs() <= 1e-12, "partial {a} vs full {b}");
             }
-        }
-    }
-
-    /// Contract 2: on assembled MNA Jacobians from the same corpus, the
-    /// plan the ordering race freezes solves to the dense LU's answer.
-    #[test]
-    fn raced_ordering_solves_like_dense(
-        stages in 1usize..4,
-        rungs in proptest::collection::vec(1e3f64..1e5, 2..6),
-        vdd in 0.6f64..0.9,
-    ) {
-        let c = mixed_netlist(stages, &rungs, vdd, 0.0);
-        let n = c.unknown_count();
-        let mut engine = NewtonEngine::new(NewtonOptions::default());
-        let x0 = vec![0.0; n];
-        let (_, jac) = engine.assemble(&c, &x0, &AnalysisMode::Dc, 1e-9);
-        let jac = jac.clone();
-
-        let mut lu = SparseLu::new();
-        lu.factor(jac.pattern(), jac.values()).expect("factor");
-        let rhs: Vec<f64> = (0..n).map(|i| ((i % 7) as f64 - 3.0) * 1e-6).collect();
-        let xs = lu.solve_factored(&rhs).expect("sparse solve");
-        let xd = DenseLuSolver::new().solve(&jac, &rhs).expect("dense solve");
-        let scale = cntfet_numerics::stats::inf_norm(&xd).max(1.0);
-        for (s, d) in xs.iter().zip(&xd) {
-            prop_assert!((s - d).abs() <= 1e-8 * scale, "{s} vs {d}");
         }
     }
 }

@@ -7,23 +7,15 @@
 //! reference, to ≤ 1e-10 relative; and on a large inverter chain the
 //! sparse factorisation performs strictly fewer operations.
 
+mod support;
+
 use cntfet_circuit::element::{AnalysisMode, TransientStamp};
 use cntfet_circuit::prelude::*;
 use cntfet_circuit::transient::TransientOptions;
-use cntfet_core::CompactCntFet;
 use cntfet_numerics::sparse::{dense_lu_ops, DenseLuSolver, SparseLu};
 use cntfet_numerics::stats::inf_norm;
-use cntfet_reference::DeviceParams;
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
-
-/// Shared compact model — fitted once for the whole test binary.
-fn model() -> Arc<CompactCntFet> {
-    static MODEL: OnceLock<Arc<CompactCntFet>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
-        Arc::new(CompactCntFet::model2(DeviceParams::paper_default()).expect("model 2 fit"))
-    }))
-}
+use support::{mixed_netlist, model};
 
 /// Relative disagreement `‖dx_s − dx_d‖∞ / ‖dx_d‖∞` of the sparse and
 /// dense solutions of the Newton step `J·dx = −F` assembled at `x`
@@ -116,6 +108,25 @@ proptest! {
         for (i, &o) in outs.iter().enumerate() {
             c.add(Resistor::new(&format!("RL{i}"), o, Circuit::ground(), load));
         }
+        let sol = NewtonEngine::new(NewtonOptions::default())
+            .dc_operating_point(&c, None)
+            .expect("dc");
+        for x in dc_states(&sol.x) {
+            let rel = step_disagreement(&c, &x, &AnalysisMode::Dc);
+            prop_assert!(rel <= 1e-10, "sparse vs dense Newton step differ by {rel}");
+        }
+    }
+
+    /// The fast-SPICE corpus: CNFET inverter chains driving a resistor
+    /// ladder with capacitive loads and a current-source disturbance.
+    #[test]
+    fn mixed_netlists_agree(
+        stages in 1usize..4,
+        rungs in proptest::collection::vec(1e3f64..1e5, 2..6),
+        vdd in 0.6f64..0.9,
+        isrc in -1e-6f64..1e-6,
+    ) {
+        let c = mixed_netlist(stages, &rungs, vdd, isrc);
         let sol = NewtonEngine::new(NewtonOptions::default())
             .dc_operating_point(&c, None)
             .expect("dc");
