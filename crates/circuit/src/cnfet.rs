@@ -176,66 +176,69 @@ impl Element for CnfetElement {
         let qt = caps.gate * (vg - vs) + caps.drain * (vd - vs);
         let f_sigma = caps.total() * vsc + qt + self.model.equilibrium_charge() - q_src - q_drn;
         mna.add_f_extra(sigma, f_sigma);
-        // ∂F/∂vσ (mirrored unknown, no sign factor).
-        mna.add_j_extra_extra(sigma, sigma, caps.total() - dq_src - dq_drn);
-        // ∂F/∂(node voltages): chain through the mirror (× s).
-        // vsc depends on vs; vds on vd, vs; qt on vg, vd, vs.
-        let df_dvg = caps.gate;
-        let df_dvd = caps.drain - dq_drn;
-        let df_dvs = -caps.total() - caps.gate - caps.drain + dq_src + 2.0 * dq_drn;
-        mna.add_j_extra_node(sigma, self.gate, s * df_dvg);
-        mna.add_j_extra_node(sigma, self.drain, s * df_dvd);
-        mna.add_j_extra_node(sigma, self.source, s * df_dvs);
 
         // --- Transport current source drain → source. -------------------
         // Real current into the real drain is s·i_core.
         mna.add_f_node(self.drain, s * i_core);
         mna.add_f_node(self.source, -s * i_core);
-        // ∂(s·i)/∂x[node] = s · (∂i/∂v_mirror) · s = ∂i/∂v_mirror.
-        let di_dvd_m = di_dvds;
-        let di_dvs_m = -di_dvsc - di_dvds;
-        if let Some(r) = self.drain.unknown_index() {
-            mna.add_j_index(r, r, di_dvd_m);
-            if let Some(c) = self.source.unknown_index() {
-                mna.add_j_index(r, c, di_dvs_m);
-            }
-            mna.add_j_node_extra(self.drain, sigma, s * di_dvsc);
-        }
-        if let Some(r) = self.source.unknown_index() {
-            if let Some(c) = self.drain.unknown_index() {
-                mna.add_j_index(r, c, -di_dvd_m);
-            }
-            mna.add_j_index(r, r, -di_dvs_m);
-            mna.add_j_node_extra(self.source, sigma, -s * di_dvsc);
-        }
 
         // --- Terminal displacement currents (transient only). -----------
-        if let AnalysisMode::Transient(stamp) = mode {
+        // Per-terminal capacitor to Σ, scaled to farads by length. The
+        // Σ row stays algebraic (charge balance), so the return current
+        // exits through the other terminals via their own companions;
+        // no Σ-row stamp here.
+        let terminals = [
+            (self.gate, caps.gate, vg),
+            (self.drain, caps.drain, vd),
+            (self.source, caps.source, vs),
+        ];
+        let transient = match mode {
+            AnalysisMode::Transient(stamp) => Some(stamp),
+            AnalysisMode::Dc => None,
+        };
+        if let Some(stamp) = transient {
             // History of the mirrored Σ unknown (stored mirrored, so no
             // sign factor); node histories are raw and mirror through s.
             let hist_sig = stamp.history(sigma);
-            // Per-terminal capacitor to Σ, scaled to farads by length.
-            for (node, c_per_m, v_now) in [
-                (self.gate, caps.gate, vg),
-                (self.drain, caps.drain, vd),
-                (self.source, caps.source, vs),
-            ] {
-                let c = c_per_m * self.length;
-                let g = c * stamp.a0;
+            for (node, c_per_m, v_now) in terminals {
                 // Mirrored d/dt of the capacitor voltage (v_node − vΣ).
                 let ddt = stamp.a0 * (v_now - vsig) + s * stamp.history_node(node) - hist_sig;
-                let i_core = c * ddt;
                 // Mirrored current out of the mirrored node = s·i into the
                 // real node's KCL.
-                mna.add_f_node(node, s * i_core);
-                // ∂/∂(real node voltage) = s·g·s = g.
-                mna.add_j_nodes(node, node, g);
-                mna.add_j_node_extra(node, sigma, -s * g);
-                // The Σ row stays algebraic (charge balance), so the
-                // return current exits through the other terminals via
-                // their own companions; no Σ-row stamp here.
+                mna.add_f_node(node, s * (c_per_m * self.length * ddt));
             }
         }
+
+        mna.stamp_jacobian(|j| {
+            // Σ row. ∂F/∂vσ (mirrored unknown, no sign factor).
+            j.add_index(sigma, sigma, caps.total() - dq_src - dq_drn);
+            // ∂F/∂(node voltages): chain through the mirror (× s).
+            // vsc depends on vs; vds on vd, vs; qt on vg, vd, vs.
+            let df_dvg = caps.gate;
+            let df_dvd = caps.drain - dq_drn;
+            let df_dvs = -caps.total() - caps.gate - caps.drain + dq_src + 2.0 * dq_drn;
+            j.add_extra_node(sigma, self.gate, s * df_dvg);
+            j.add_extra_node(sigma, self.drain, s * df_dvd);
+            j.add_extra_node(sigma, self.source, s * df_dvs);
+            // Transport: ∂(s·i)/∂x[node] = s · (∂i/∂v_mirror) · s =
+            // ∂i/∂v_mirror.
+            let di_dvd_m = di_dvds;
+            let di_dvs_m = -di_dvsc - di_dvds;
+            j.add_nodes(self.drain, self.drain, di_dvd_m);
+            j.add_nodes(self.drain, self.source, di_dvs_m);
+            j.add_node_extra(self.drain, sigma, s * di_dvsc);
+            j.add_nodes(self.source, self.drain, -di_dvd_m);
+            j.add_nodes(self.source, self.source, -di_dvs_m);
+            j.add_node_extra(self.source, sigma, -s * di_dvsc);
+            // Displacement: ∂/∂(real node voltage) = s·g·s = g.
+            if let Some(stamp) = transient {
+                for (node, c_per_m, _) in terminals {
+                    let g = c_per_m * self.length * stamp.a0;
+                    j.add_nodes(node, node, g);
+                    j.add_node_extra(node, sigma, -s * g);
+                }
+            }
+        });
     }
 
     fn limit_step(&self, _x: &[f64], dx: &[f64], sigma: usize) -> Option<f64> {

@@ -1064,23 +1064,40 @@ fn parse_voltage(
     if cur.peek_keyword("pulse") {
         cur.i += 1;
         let args = paren_values(cur, "PULSE", 7)?;
-        // SPICE order: PULSE(v1 v2 td tr tf pw per).
+        // SPICE order: PULSE(v1 v2 td tr tf pw per). A negative delay is
+        // a phase shift; a negative edge, width or period would make the
+        // waveform skip or cut short a segment, so it is an error.
+        let durations = [
+            (3, "rise time tr"),
+            (4, "fall time tf"),
+            (5, "pulse width pw"),
+            (6, "period per"),
+        ];
+        for (i, name) in durations {
+            let (v, span) = args[i];
+            if v < 0.0 {
+                return Err(cur.at(
+                    span,
+                    format!("PULSE {name} must not be negative, got {v:e}"),
+                ));
+            }
+        }
         waveform = Some(Waveform::Pulse {
-            low: args[0],
-            high: args[1],
-            delay: args[2],
-            rise: args[3],
-            fall: args[4],
-            width: args[5],
-            period: args[6],
+            low: args[0].0,
+            high: args[1].0,
+            delay: args[2].0,
+            rise: args[3].0,
+            fall: args[4].0,
+            width: args[5].0,
+            period: args[6].0,
         });
     } else if cur.peek_keyword("sin") {
         cur.i += 1;
         let args = paren_values(cur, "SIN", 3)?;
         waveform = Some(Waveform::Sine {
-            offset: args[0],
-            amplitude: args[1],
-            frequency: args[2],
+            offset: args[0].0,
+            amplitude: args[1].0,
+            frequency: args[2].0,
         });
     } else if cur.peek_keyword("dc") {
         cur.i += 1;
@@ -1537,14 +1554,14 @@ fn parse_ic(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<super::IcCard, De
 }
 
 /// Parses `( v v … )` with exactly `n` values.
-fn paren_values(cur: &mut Cursor<'_>, what: &str, n: usize) -> Result<Vec<f64>, DeckError> {
+fn paren_values(cur: &mut Cursor<'_>, what: &str, n: usize) -> Result<Vec<(f64, Span)>, DeckError> {
     cur.expect_punct('(')?;
     let mut values = Vec::with_capacity(n);
     while cur.peek().map(|t| &t.kind) != Some(&TokenKind::Punct(')')) {
         if cur.peek().is_none() {
             return Err(cur.error_at(cur.i, format!("unterminated {what}(…) — missing ')'")));
         }
-        values.push(cur.next_value(&format!("a {what} argument"))?.0);
+        values.push(cur.next_value(&format!("a {what} argument"))?);
     }
     cur.expect_punct(')')?;
     if values.len() != n {

@@ -6,7 +6,7 @@
 //! affine terms; the CNFET (in [`crate::cnfet`]) is fully nonlinear.
 
 use crate::netlist::NodeId;
-use cntfet_numerics::sparse::PatternAssembler;
+use cntfet_numerics::sparse::{BlockWriter, PatternAssembler};
 use std::fmt;
 
 /// What kind of solve is being assembled.
@@ -120,12 +120,15 @@ impl TransientStamp {
 
 /// Assembly target handed to [`Element::stamp`].
 ///
-/// Jacobian writes go through a pattern-aware [`PatternAssembler`]: the
-/// first assembly of a circuit records the sparsity pattern; every later
-/// Newton iteration writes values into the preallocated slots with no
-/// per-iteration allocation. A residual-only target (no assembler)
-/// turns every `add_j_*` into a no-op, so the one stamp code path
-/// serves both the full and the residual-only assembly.
+/// Residual writes go straight into `F`. An element hands its Jacobian
+/// entries as one block per stamp ([`Mna::stamp_jacobian`]) to a
+/// pattern-aware [`PatternAssembler`]: the first assembly of a circuit
+/// records the sparsity pattern and the order of the writes; every later
+/// Newton iteration writes values through the compiled write plan into
+/// the preallocated slots with no per-iteration allocation. On a
+/// residual-only pass (no assembler) the block never runs, so the one
+/// stamp code path serves both the full and the residual-only assembly
+/// and the latter does no Jacobian arithmetic.
 #[derive(Debug)]
 pub struct Mna<'a> {
     residual: &'a mut [f64],
@@ -146,12 +149,6 @@ impl<'a> Mna<'a> {
         self.jacobian.is_some()
     }
 
-    fn add_j(&mut self, row: usize, col: usize, v: f64) {
-        if let Some(j) = self.jacobian.as_deref_mut() {
-            j.add(row, col, v);
-        }
-    }
-
     /// Adds `v` to the residual row of `node` (no-op for ground).
     pub fn add_f_node(&mut self, node: NodeId, v: f64) {
         if let Some(i) = node.unknown_index() {
@@ -165,37 +162,59 @@ impl<'a> Mna<'a> {
         self.residual[row] += v;
     }
 
-    /// Adds `v` to the Jacobian entry at raw unknown indices (`row`,
-    /// `col`). Prefer the typed helpers below; this exists for stamps
-    /// that have already resolved their node indices.
-    pub fn add_j_index(&mut self, row: usize, col: usize, v: f64) {
-        self.add_j(row, col, v);
+    /// Runs `entries` on this stamp's [`JacobianBlock`] — or, on a
+    /// residual-only pass, not at all, so the derivatives it computes
+    /// cost nothing there. An element makes at most one call per stamp
+    /// and writes its entries in the same order on every pass: the
+    /// write plan recorded on the first assembly follows that order.
+    pub fn stamp_jacobian(&mut self, entries: impl FnOnce(&mut JacobianBlock<'_, '_>)) {
+        if let Some(asm) = self.jacobian.as_deref_mut() {
+            asm.add_block(|writer| entries(&mut JacobianBlock(writer)));
+        }
+    }
+}
+
+/// The Jacobian entries of one element stamp, written through the
+/// assembler's write plan. The typed methods skip entries in a ground
+/// row or column.
+#[derive(Debug)]
+pub struct JacobianBlock<'w, 'a>(&'w mut BlockWriter<'a>);
+
+impl JacobianBlock<'_, '_> {
+    /// Adds `v` at raw unknown indices (`row`, `col`): an extra-variable
+    /// entry, or node rows already resolved to their indices.
+    pub fn add_index(&mut self, row: usize, col: usize, v: f64) {
+        self.0.add(row, col, v);
     }
 
-    /// Adds `v` to the Jacobian entry (`row` node, `col` node).
-    pub fn add_j_nodes(&mut self, row: NodeId, col: NodeId, v: f64) {
+    /// Adds `v` at (`row` node, `col` node).
+    pub fn add_nodes(&mut self, row: NodeId, col: NodeId, v: f64) {
         if let (Some(r), Some(c)) = (row.unknown_index(), col.unknown_index()) {
-            self.add_j(r, c, v);
+            self.0.add(r, c, v);
         }
     }
 
-    /// Adds `v` to the Jacobian entry (node row, extra-variable column).
-    pub fn add_j_node_extra(&mut self, row: NodeId, col: usize, v: f64) {
+    /// Adds `v` at (node row, extra-variable column).
+    pub fn add_node_extra(&mut self, row: NodeId, col: usize, v: f64) {
         if let Some(r) = row.unknown_index() {
-            self.add_j(r, col, v);
+            self.0.add(r, col, v);
         }
     }
 
-    /// Adds `v` to the Jacobian entry (extra-variable row, node column).
-    pub fn add_j_extra_node(&mut self, row: usize, col: NodeId, v: f64) {
+    /// Adds `v` at (extra-variable row, node column).
+    pub fn add_extra_node(&mut self, row: usize, col: NodeId, v: f64) {
         if let Some(c) = col.unknown_index() {
-            self.add_j(row, c, v);
+            self.0.add(row, c, v);
         }
     }
 
-    /// Adds `v` to the Jacobian entry (extra row, extra column).
-    pub fn add_j_extra_extra(&mut self, row: usize, col: usize, v: f64) {
-        self.add_j(row, col, v);
+    /// Stamps a conductance `g` between nodes `a` and `b`: `(a, a)`,
+    /// `(a, b)`, `(b, a)`, `(b, b)` get `g`, `−g`, `−g`, `g`.
+    pub fn add_conductance(&mut self, a: NodeId, b: NodeId, g: f64) {
+        self.add_nodes(a, a, g);
+        self.add_nodes(a, b, -g);
+        self.add_nodes(b, a, -g);
+        self.add_nodes(b, b, g);
     }
 }
 
@@ -295,10 +314,7 @@ impl Element for Resistor {
         let i = g * (node_voltage(x, self.a) - node_voltage(x, self.b));
         mna.add_f_node(self.a, i);
         mna.add_f_node(self.b, -i);
-        mna.add_j_nodes(self.a, self.a, g);
-        mna.add_j_nodes(self.a, self.b, -g);
-        mna.add_j_nodes(self.b, self.a, -g);
-        mna.add_j_nodes(self.b, self.b, g);
+        mna.stamp_jacobian(|j| j.add_conductance(self.a, self.b, g));
     }
 }
 
@@ -339,14 +355,10 @@ impl Element for Capacitor {
             // i = C · d/dt (v_a − v_b); the Jacobian sees only the
             // method's leading coefficient a0, so a step-size change
             // re-values this stamp without touching the pattern.
-            let g = self.capacitance * stamp.a0;
             let i = self.capacitance * (stamp.ddt_node(x, self.a) - stamp.ddt_node(x, self.b));
             mna.add_f_node(self.a, i);
             mna.add_f_node(self.b, -i);
-            mna.add_j_nodes(self.a, self.a, g);
-            mna.add_j_nodes(self.a, self.b, -g);
-            mna.add_j_nodes(self.b, self.a, -g);
-            mna.add_j_nodes(self.b, self.b, g);
+            mna.stamp_jacobian(|j| j.add_conductance(self.a, self.b, self.capacitance * stamp.a0));
         }
     }
 }
@@ -476,13 +488,15 @@ impl Element for VoltageSource {
         // Branch current leaves the + node through the source.
         mna.add_f_node(self.plus, i_branch);
         mna.add_f_node(self.minus, -i_branch);
-        mna.add_j_node_extra(self.plus, extra, 1.0);
-        mna.add_j_node_extra(self.minus, extra, -1.0);
         // Constraint row: V(+) − V(−) − target = 0.
         let v = node_voltage(x, self.plus) - node_voltage(x, self.minus);
         mna.add_f_extra(extra, v - target);
-        mna.add_j_extra_node(extra, self.plus, 1.0);
-        mna.add_j_extra_node(extra, self.minus, -1.0);
+        mna.stamp_jacobian(|j| {
+            j.add_node_extra(self.plus, extra, 1.0);
+            j.add_node_extra(self.minus, extra, -1.0);
+            j.add_extra_node(extra, self.plus, 1.0);
+            j.add_extra_node(extra, self.minus, -1.0);
+        });
     }
 
     fn set_value(&mut self, value: f64) -> bool {

@@ -554,7 +554,7 @@ impl NewtonEngine {
     ///
     /// For each cached analysis kind whose unknown count and
     /// extra-variable bases match the new circuit, the cache is re-keyed
-    /// in place: the recorded pattern, tracked write sequence and frozen
+    /// in place: the recorded pattern, compiled write plan and frozen
     /// solver plan survive, while everything value-dependent is reset —
     /// the structural-rank verdict and the partial-refactorization
     /// baseline — so no numerical state leaks between circuits.
@@ -563,7 +563,9 @@ impl NewtonEngine {
     /// **Caller contract:** the new circuit must stamp the same slot
     /// sequence (same element kinds and node wiring, values free). Keyed
     /// lookups via [`crate::deck::Deck::topology_hash`] guarantee this;
-    /// a mismatched caller is caught by the assembler's pattern guard.
+    /// a mismatched caller is caught by the assembler's pattern guard:
+    /// every write is checked against its planned (row, col), and one
+    /// outside the recorded pattern panics.
     pub fn rebind(&mut self, circuit: &Circuit) {
         let unknowns = circuit.unknown_count();
         let bases = circuit.extra_var_bases();
@@ -663,9 +665,9 @@ impl NewtonEngine {
     /// [`EngineCounters::device_evals`] or, on a residual-only pass
     /// (`jacobian` off), in [`EngineCounters::residual_evals`]. A
     /// residual-only pass runs the same stamps against an [`Mna`]
-    /// without a Jacobian target: devices evaluate values only, and the
-    /// assembler — with the last assembled Jacobian — is left
-    /// untouched. Every pass also writes the structural diagonal of each
+    /// without a Jacobian target: devices evaluate values only, no
+    /// Jacobian block runs, and the assembler — with the last assembled
+    /// Jacobian — is left untouched. Every pass also writes the structural diagonal of each
     /// node row, the slots through which the gmin leak and `ptc` (only
     /// `Some` inside a pseudo-transient rescue stage) add their
     /// regularization; element rows hold exactly what their elements
@@ -704,24 +706,29 @@ impl NewtonEngine {
         // row has no diagonal at all — a reserved zero there would make
         // the pivoting elimination, which updates even by a zero
         // multiplier to keep the plan value-independent, copy whichever
-        // node row pivots the branch column into it as fill. Every pass
-        // issues one add() per node diagonal in the same order, so the
-        // tracked write sequence never changes.
+        // node row pivots the branch column into it as fill. Every full
+        // pass writes one block of every node diagonal in node order,
+        // so the write plan recorded on the first pass never changes.
         let nodes = circuit.node_count();
         let base = if gmin > 0.0 { gmin } else { 0.0 };
+        let regularization = |i: usize| match ptc {
+            Some(p) if p.mask[i] => (p.g, p.anchor[i]),
+            _ => (0.0, 0.0),
+        };
         for (i, &xi) in x.iter().enumerate().take(nodes) {
-            let (reg, anchor) = match ptc {
-                Some(p) if p.mask[i] => (p.g, p.anchor[i]),
-                _ => (0.0, 0.0),
-            };
+            let (reg, anchor) = regularization(i);
             if base > 0.0 {
                 mna.add_f_extra(i, base * xi);
             }
             if reg > 0.0 {
                 mna.add_f_extra(i, reg * (xi - anchor));
             }
-            mna.add_j_index(i, i, base + reg);
         }
+        mna.stamp_jacobian(|j| {
+            for i in 0..nodes.min(x.len()) {
+                j.add_index(i, i, base + regularization(i).0);
+            }
+        });
         if jacobian {
             cache.asm.finish();
         }
@@ -1910,6 +1917,119 @@ mod tests {
     fn jacobian_values(engine: &NewtonEngine) -> Vec<f64> {
         let m = engine.cache().and_then(|c| c.asm.matrix());
         m.expect("assembled").values().to_vec()
+    }
+
+    /// A conductance between `a` and `b` that writes its Jacobian block
+    /// in one order while `x[0] ≤ 0.5` and in another above it: the
+    /// (a, b) and (b, a) entries swap, and so do two of the three
+    /// writes to (a, a), whose sum depends on their order. Above 0.5 a
+    /// `stray` element also writes (a, stray), outside every pattern
+    /// recorded below it.
+    #[derive(Debug)]
+    struct ReorderingStamp {
+        a: crate::netlist::NodeId,
+        b: crate::netlist::NodeId,
+        stray: Option<crate::netlist::NodeId>,
+    }
+
+    impl crate::element::Element for ReorderingStamp {
+        fn name(&self) -> &str {
+            "REORDER"
+        }
+
+        fn stamp(&self, x: &[f64], _extra: usize, _mode: &AnalysisMode, mna: &mut Mna<'_>) {
+            use crate::element::node_voltage;
+            let (va, vb) = (node_voltage(x, self.a), node_voltage(x, self.b));
+            let g = 1e-3 * (1.0 + va * va);
+            mna.add_f_node(self.a, g * (va - vb));
+            mna.add_f_node(self.b, -g * (va - vb));
+            let high = x[0] > 0.5;
+            mna.stamp_jacobian(|j| {
+                let (first, second) = a_a_order(high);
+                j.add_nodes(self.a, self.a, 1.0 + g);
+                j.add_nodes(self.a, self.a, first);
+                j.add_nodes(self.a, self.a, second);
+                if high {
+                    j.add_nodes(self.b, self.a, -g);
+                    j.add_nodes(self.a, self.b, -g);
+                } else {
+                    j.add_nodes(self.a, self.b, -g);
+                    j.add_nodes(self.b, self.a, -g);
+                }
+                j.add_nodes(self.b, self.b, g);
+                if let Some(stray) = self.stray.filter(|_| high) {
+                    j.add_nodes(self.a, stray, g);
+                }
+            });
+        }
+    }
+
+    /// The second and third (a, a) writes of a [`ReorderingStamp`].
+    fn a_a_order(high: bool) -> (f64, f64) {
+        if high {
+            (-1.0, 1e-16)
+        } else {
+            (1e-16, -1.0)
+        }
+    }
+
+    fn reordering_circuit(with_stray: bool) -> Circuit {
+        let mut c = Circuit::new();
+        let (a, b, s) = (c.node("a"), c.node("b"), c.node("s"));
+        c.add(Resistor::new("R1", b, Circuit::ground(), 1e3));
+        c.add(Resistor::new("R2", s, Circuit::ground(), 1e3));
+        c.add(ReorderingStamp {
+            a,
+            b,
+            stray: with_stray.then_some(s),
+        });
+        c
+    }
+
+    #[test]
+    fn reordered_jacobian_writes_take_the_searched_path_bitwise() {
+        // The warm engine records its write plan below 0.5; above it the
+        // element leaves the plan, so its writes take the searched path
+        // and must still add in the order they are issued: the matrix
+        // equals the one a fresh engine records at the same state.
+        let c = reordering_circuit(false);
+        let (low, high) = ([0.25, -0.5, 0.0], [0.75, 0.125, 0.0]);
+        let mut warm = NewtonEngine::new(NewtonOptions::default());
+        warm.assemble(&c, &low, &AnalysisMode::Dc, 0.0);
+        for x in [&high, &low, &high] {
+            let misses = warm.cache().map(|c| c.asm.replay_misses());
+            let (f, j) = warm.assemble(&c, x, &AnalysisMode::Dc, 0.0);
+            let (f, j) = (f.to_vec(), j.clone());
+            let mut fresh = NewtonEngine::new(NewtonOptions::default());
+            let (f_fresh, j_fresh) = fresh.assemble(&c, x, &AnalysisMode::Dc, 0.0);
+            assert_eq!(j.pattern(), j_fresh.pattern());
+            assert!(bitwise_eq(j.values(), j_fresh.values()), "x = {x:?}");
+            assert!(bitwise_eq(&f, f_fresh), "x = {x:?}");
+            let left_plan = warm.cache().map(|c| c.asm.replay_misses()) > misses;
+            assert_eq!(left_plan, x == &high, "x = {x:?}");
+            // (a, a) sums its writes in issue order, then the node
+            // diagonal's 0.
+            let a_a = |(first, second): (f64, f64)| {
+                1.0 + 1e-3 * (1.0 + x[0] * x[0]) + first + second + 0.0
+            };
+            assert_eq!(j.get(0, 0).to_bits(), a_a(a_a_order(x[0] > 0.5)).to_bits());
+        }
+        // At the high state, the recorded order would sum (a, a)
+        // differently: the check compares order-sensitive matrices.
+        let g = 1e-3 * (1.0 + high[0] * high[0]);
+        assert_ne!(
+            (1.0 + g + 1e-16 - 1.0).to_bits(),
+            (1.0 + g - 1.0 + 1e-16).to_bits()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in the cached sparsity pattern")]
+    fn jacobian_write_outside_the_recorded_pattern_panics() {
+        let c = reordering_circuit(true);
+        let mut engine = NewtonEngine::new(NewtonOptions::default());
+        engine.assemble(&c, &[0.25, -0.5, 0.0], &AnalysisMode::Dc, 0.0);
+        engine.assemble(&c, &[0.75, 0.125, 0.0], &AnalysisMode::Dc, 0.0);
     }
 
     #[test]

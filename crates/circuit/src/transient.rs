@@ -1091,7 +1091,7 @@ mod tests {
                 (true, false) => -1.0,
             };
             mna.add_f_extra(base, y + jump);
-            mna.add_j_extra_extra(base, base, 1.0);
+            mna.stamp_jacobian(|j| j.add_index(base, base, 1.0));
         }
     }
 

@@ -421,6 +421,40 @@ fn non_finite_literals_are_parse_errors() {
     );
 }
 
+/// A negative PULSE edge, width or period used to pass `--check`: a
+/// negative `tr` makes the source start at `v2`, and a negative `pw` cuts
+/// the pulse to one sample. Each fails at its token, naming the
+/// parameter; a negative delay `td` stays a phase shift.
+#[test]
+fn negative_pulse_durations_are_parse_errors() {
+    let err = parse_err("negative rise\nV1 in 0 PULSE(0 1 0 -1n 1n 2n 5n)\nR1 in 0 1k\n.op");
+    assert_eq!(
+        err.to_string(),
+        "deck:2:21: PULSE rise time tr must not be negative, got -1e-9
+    2 | V1 in 0 PULSE(0 1 0 -1n 1n 2n 5n)
+      |                     ^^^"
+    );
+
+    let err =
+        parse_err("negative width\nV1 in 0 PULSE(0 1 0 1n 1n -2n 5n)\nR1 in 0 1k\n.tran 0.5n 3n");
+    assert_eq!(
+        err.to_string(),
+        "deck:2:27: PULSE pulse width pw must not be negative, got -2e-9
+    2 | V1 in 0 PULSE(0 1 0 1n 1n -2n 5n)
+      |                           ^^^"
+    );
+
+    for (card, name) in [
+        ("PULSE(0 1 0 1n -1n 2n 5n)", "fall time tf"),
+        ("PULSE(0 1 0 1n 1n 2n -5n)", "period per"),
+    ] {
+        let err = parse_err(&format!("negative\nV1 in 0 {card}\nR1 in 0 1k\n.op"));
+        assert!(err.to_string().contains(name), "{card}: {err}");
+    }
+    Deck::parse("negative delay\nV1 in 0 PULSE(0 1 -1n 1n 1n 2n 5n)\nR1 in 0 1k\n.op")
+        .expect("a negative delay is a phase shift");
+}
+
 /// A mistyped step must not ask for more than `MAX_STEPS` points or
 /// steps (10 000 000): such a card fails at parse time, at the token
 /// that sets the count, instead of allocating every point or running

@@ -722,27 +722,29 @@ impl FactorPathStats {
 
 /// Pattern-caching assembly target.
 ///
-/// The first assembly cycle (`begin` → `add`s → `finish`) records
+/// The first assembly cycle (`begin` → writes → `finish`) records
 /// triplets and compiles the sparsity pattern; every later cycle zeroes
-/// the stored values and routes each `add` to its preallocated slot —
+/// the stored values and routes each write to its preallocated slot —
 /// no allocation, no sorting, no hashing. A change of the assembled
 /// structure (e.g. a circuit gained elements) needs a fresh assembler.
 ///
-/// The recording cycle also remembers the `(row, col)` of every `add`
-/// in call order and compiles that sequence to pattern slots. Later
-/// cycles that replay the same sequence skip the per-add binary search
-/// (a direct slot `+=`). A cycle that deviates from the recorded
-/// sequence falls back to the searched path from the point of
-/// divergence and stays correct.
+/// `finish` also compiles the recording cycle's writes, in call order,
+/// into a write plan: one (packed row/column key, slot) pair per write,
+/// the matrix positions worked out once as in a SPICE3 device setup.
+/// Writes arrive in blocks ([`PatternAssembler::add_block`], one per
+/// element stamp) through a [`BlockWriter`] that walks the plan with a
+/// cursor held in a local: a write whose (row, col) equals the planned
+/// one is a direct slot `+=`; one that deviates takes the searched path
+/// (a binary search in its row) and stays correct, and one outside the
+/// pattern panics.
 #[derive(Debug)]
 pub struct PatternAssembler {
     state: AsmState,
     pattern_builds: usize,
-    /// `(row, col)` of every recorded `add`, in call order.
-    writes: Vec<(usize, usize)>,
-    /// `writes` compiled to pattern slots at `finish`.
-    write_slots: Vec<usize>,
-    /// Position in the recorded write sequence of the current cycle.
+    /// The recording cycle's writes in call order, compiled to slots at
+    /// `finish`.
+    plan: Vec<PlannedWrite>,
+    /// Position in the write plan of the current cycle.
     cursor: usize,
     replay_hits: u64,
     replay_misses: u64,
@@ -754,6 +756,97 @@ enum AsmState {
     Ready(CsrMatrix),
 }
 
+/// One recorded write: its (row, col) packed by [`write_key`] and the
+/// pattern slot it lands in.
+#[derive(Debug, Clone, Copy)]
+struct PlannedWrite {
+    key: u64,
+    slot: u32,
+}
+
+/// Packs (`r`, `c`) into one comparable key. An index past `u32` maps
+/// to `u64::MAX`, which no recorded write holds: a recorded index is
+/// below its dimension, and `finish` keeps dimensions within `u32`.
+#[inline]
+fn write_key(r: usize, c: usize) -> u64 {
+    let (r, c) = (r as u64, c as u64);
+    if (r | c) >> 32 == 0 {
+        (r << 32) | c
+    } else {
+        u64::MAX
+    }
+}
+
+/// The writer of one block of assembly writes, lent by
+/// [`PatternAssembler::add_block`]. A write that follows the plan is a
+/// slot `+=`; every other write — each one while the pattern is still
+/// being recorded — goes to the cold `off_plan` path.
+#[derive(Debug)]
+pub struct BlockWriter<'a> {
+    plan: &'a [PlannedWrite],
+    values: &'a mut [f64],
+    cursor: usize,
+    misses: u64,
+    off_plan: OffPlan<'a>,
+}
+
+/// Where a write off the write plan goes.
+#[derive(Debug)]
+enum OffPlan<'a> {
+    /// The recording cycle's triplets (the plan is still empty).
+    Record(&'a mut TripletMatrix),
+    /// The searched path through the compiled pattern.
+    Search(&'a SparsityPattern),
+}
+
+impl BlockWriter<'_> {
+    /// Adds `v` at (`r`, `c`). Zero values still reserve a slot while
+    /// recording.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of bounds, or if the entry is
+    /// missing from a cached pattern — that means the assembled
+    /// structure changed, which needs a fresh assembler.
+    #[inline]
+    pub fn add(&mut self, r: usize, c: usize, v: f64) {
+        if let Some(w) = self.plan.get(self.cursor) {
+            if w.key == write_key(r, c) {
+                self.values[w.slot as usize] += v;
+                self.cursor += 1;
+                return;
+            }
+        }
+        if off_plan(&mut self.off_plan, self.values, r, c, v) {
+            self.misses += 1;
+        }
+    }
+}
+
+/// A write off the plan: recorded as a triplet while recording
+/// (returns `false`), and afterwards added through a slot search in its
+/// row (returns `true`, a plan miss).
+#[cold]
+#[inline(never)]
+fn off_plan(target: &mut OffPlan<'_>, values: &mut [f64], r: usize, c: usize, v: f64) -> bool {
+    match target {
+        OffPlan::Record(t) => {
+            t.push(r, c, v);
+            false
+        }
+        OffPlan::Search(pattern) => {
+            let slot = pattern.slot(r, c).unwrap_or_else(|| {
+                panic!(
+                    "entry ({r}, {c}) is not in the cached sparsity pattern; \
+                     a structural change needs a fresh assembler"
+                )
+            });
+            values[slot] += v;
+            true
+        }
+    }
+}
+
 impl PatternAssembler {
     /// Creates an assembler for matrices of the given shape, starting in
     /// recording mode.
@@ -761,8 +854,7 @@ impl PatternAssembler {
         PatternAssembler {
             state: AsmState::Recording(TripletMatrix::new(n_rows, n_cols)),
             pattern_builds: 0,
-            writes: Vec::new(),
-            write_slots: Vec::new(),
+            plan: Vec::new(),
             cursor: 0,
             replay_hits: 0,
             replay_misses: 0,
@@ -774,13 +866,12 @@ impl PatternAssembler {
         matches!(self.state, AsmState::Recording(_))
     }
 
-    /// Adds routed through the recorded write sequence (no slot search).
+    /// Writes that followed the write plan (no slot search).
     pub fn replay_hits(&self) -> u64 {
         self.replay_hits
     }
 
-    /// Adds that missed the recorded sequence and fell back to the
-    /// searched path.
+    /// Writes that left the write plan and took the searched path.
     pub fn replay_misses(&self) -> u64 {
         self.replay_misses
     }
@@ -795,55 +886,64 @@ impl PatternAssembler {
     /// zeroes the cached values (pattern mode).
     pub fn begin(&mut self) {
         match &mut self.state {
-            AsmState::Recording(t) => {
-                t.clear();
-                self.writes.clear();
-            }
+            AsmState::Recording(t) => t.clear(),
             AsmState::Ready(m) => m.set_zero(),
         }
         self.cursor = 0;
     }
 
-    /// Adds `v` at (`r`, `c`). Zero values still reserve a slot while
-    /// recording.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds, or if the entry is
-    /// missing from a cached pattern — that means the assembled
-    /// structure changed, which needs a fresh assembler.
+    /// Adds `v` at (`r`, `c`): a block of one write (see
+    /// [`BlockWriter::add`]).
     pub fn add(&mut self, r: usize, c: usize, v: f64) {
-        match &mut self.state {
-            AsmState::Recording(t) => {
-                t.push(r, c, v);
-                self.writes.push((r, c));
-            }
-            AsmState::Ready(m) => {
-                if self.cursor < self.write_slots.len() && self.writes[self.cursor] == (r, c) {
-                    m.values[self.write_slots[self.cursor]] += v;
-                    self.cursor += 1;
-                    self.replay_hits += 1;
-                } else {
-                    self.replay_misses += 1;
-                    assert!(
-                        m.add_at(r, c, v),
-                        "entry ({r}, {c}) is not in the cached sparsity pattern; \
-                         a structural change needs a fresh assembler"
-                    );
-                }
-            }
-        }
+        self.add_block(|w| w.add(r, c, v));
+    }
+
+    /// Hands `writes` a [`BlockWriter`] for one block of writes. The
+    /// writer carries the plan cursor in a local and hands it back when
+    /// the block ends.
+    pub fn add_block(&mut self, writes: impl FnOnce(&mut BlockWriter<'_>)) {
+        let (values, off_plan): (&mut [f64], _) = match &mut self.state {
+            AsmState::Recording(t) => (&mut [], OffPlan::Record(t)),
+            AsmState::Ready(m) => (&mut m.values, OffPlan::Search(&m.pattern)),
+        };
+        let mut writer = BlockWriter {
+            plan: &self.plan,
+            values,
+            cursor: self.cursor,
+            misses: 0,
+            off_plan,
+        };
+        writes(&mut writer);
+        // The cursor advances on plan hits only.
+        self.replay_hits += (writer.cursor - self.cursor) as u64;
+        self.replay_misses += writer.misses;
+        self.cursor = writer.cursor;
     }
 
     /// Finishes the cycle and returns the assembled matrix, compiling
-    /// the pattern on the first call.
+    /// the pattern and the write plan on the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dimension or the entry count of the compiled
+    /// pattern exceeds `u32`.
     pub fn finish(&mut self) -> &CsrMatrix {
         if let AsmState::Recording(t) = &self.state {
             let m = t.to_csr();
-            self.write_slots = self
-                .writes
+            assert!(
+                u32::try_from(t.n_rows.max(t.n_cols)).is_ok(),
+                "matrix dimensions exceed the write plan's u32 keys"
+            );
+            self.plan = t
+                .entries
                 .iter()
-                .map(|&(r, c)| m.pattern.slot(r, c).expect("recorded write is in pattern"))
+                .map(|&(r, c, _)| {
+                    let slot = m.pattern.slot(r, c).expect("recorded write is in pattern");
+                    PlannedWrite {
+                        key: write_key(r, c),
+                        slot: u32::try_from(slot).expect("pattern slots fit u32"),
+                    }
+                })
                 .collect();
             self.state = AsmState::Ready(m);
             self.pattern_builds += 1;
@@ -1067,7 +1167,6 @@ pub struct SparseLu<T> {
     symbolic: Option<Symbolic>,
     f_values: Vec<T>,
     diag: Vec<T>,
-    work: Vec<T>,
     /// Dirty-step flags of the partial-refactorization scan; all false
     /// between calls.
     step_flag: Vec<bool>,
@@ -1081,7 +1180,6 @@ impl<T> Default for SparseLu<T> {
             symbolic: None,
             f_values: Vec::new(),
             diag: Vec::new(),
-            work: Vec::new(),
             step_flag: Vec::new(),
             ops: 0,
             paths: FactorPathStats::default(),
@@ -1122,6 +1220,16 @@ struct Symbolic {
     /// step index > `k`, so one ascending flag scan settles the set.
     dep_ptr: Vec<usize>,
     dep_steps: Vec<usize>,
+    /// The replay's compiled update list, per step: the row of step `k`
+    /// takes, for each L entry in ascending column `c`, one update
+    /// `f[dst] -= m · f[src]` per entry of step `c`'s U tail, whose
+    /// sources are contiguous from `diag_slot[c] + 1` to `u_end[c]`.
+    /// `upd_dst[upd_ptr[k]..upd_ptr[k + 1]]` lists step `k`'s
+    /// destinations (slots of its own row) in that order.
+    upd_ptr: Vec<usize>,
+    upd_dst: Vec<u32>,
+    /// End of each step's pivot-row storage (its U tail's last slot + 1).
+    u_end: Vec<usize>,
 }
 
 /// A finished right-looking elimination before it is compiled into
@@ -1553,6 +1661,29 @@ impl<T: LuScalar> SparseLu<T> {
                 cursor[c] += 1;
             }
         }
+        // The replay's update list. Every U-tail column of an L entry's
+        // pivot step is in the updated row's storage (the elimination
+        // recorded that fill), and both run in ascending column order,
+        // so one forward walk of the row finds each destination.
+        let u_end: Vec<usize> = perm.iter().map(|&pr| f_row_ptr[pr + 1]).collect();
+        let mut upd_ptr = Vec::with_capacity(n + 1);
+        let mut upd_dst = Vec::new();
+        upd_ptr.push(0);
+        for &r in &perm {
+            let lo = f_row_ptr[r];
+            let row_cols = &f_col_idx[lo..f_row_ptr[r + 1]];
+            for &c in &f_col_idx[lo..u_start[r]] {
+                let mut j = 0;
+                for &tc in &f_col_idx[diag_slot[c] + 1..u_end[c]] {
+                    j += row_cols[j..]
+                        .iter()
+                        .position(|&rc| rc == tc)
+                        .expect("U-tail column is in the updated row");
+                    upd_dst.push(u32::try_from(lo + j).expect("factor slots fit u32"));
+                }
+            }
+            upd_ptr.push(upd_dst.len());
+        }
         self.symbolic = Some(Symbolic {
             pattern: Arc::clone(pattern),
             perm,
@@ -1566,10 +1697,12 @@ impl<T: LuScalar> SparseLu<T> {
             slot_row,
             dep_ptr,
             dep_steps,
+            upd_ptr,
+            upd_dst,
+            u_end,
         });
         self.f_values = f_values;
         self.diag = diag;
-        self.work = vec![T::ZERO; n];
         self.step_flag = vec![false; n];
         self.ops = ops;
         self.paths.symbolic_factorizations += 1;
@@ -1589,7 +1722,7 @@ impl<T: LuScalar> SparseLu<T> {
         }
         let mut ops: u64 = 0;
         for k in 0..n {
-            ops += Self::replay_step(s, &mut self.f_values, &mut self.work, &mut self.diag, k)?;
+            ops += Self::replay_step(s, &mut self.f_values, &mut self.diag, k)?;
         }
         self.ops = ops;
         self.paths.replay_refactorizations += 1;
@@ -1598,55 +1731,41 @@ impl<T: LuScalar> SparseLu<T> {
         Ok(())
     }
 
-    /// Eliminates step `k` over its factor row, which holds the row's A
-    /// values, against the already-eliminated U rows of earlier steps,
-    /// and stores the row's L/U values and pivot. Returns the step's
-    /// operation count, or `Err(SingularMatrix)` when the pivot
-    /// collapses (module invariant 3).
+    /// Eliminates step `k`'s factor row in place — it holds the row's A
+    /// values — against the already-eliminated U rows of earlier steps
+    /// by running the step's compiled update list, and stores the row's
+    /// L/U values and pivot. Returns the step's operation count, or
+    /// `Err(SingularMatrix)` when the pivot collapses (module
+    /// invariant 3).
     fn replay_step(
         s: &Symbolic,
-        f_values: &mut [T],
-        work: &mut [T],
+        f: &mut [T],
         diag: &mut [T],
         k: usize,
     ) -> Result<u64, NumericsError> {
         let r = s.perm[k];
-        let lo = s.f_row_ptr[r];
-        let hi = s.f_row_ptr[r + 1];
-        // Scatter the row into the dense workspace.
-        for (&c, &v) in s.f_col_idx[lo..hi].iter().zip(&f_values[lo..hi]) {
-            work[c] = v;
-        }
-        // Eliminate the L part in ascending column (= step) order.
-        let mut ops: u64 = 0;
-        for i in lo..s.u_start[r] {
+        let (lo, us, hi) = (s.f_row_ptr[r], s.u_start[r], s.f_row_ptr[r + 1]);
+        let updates = s.upd_ptr[k]..s.upd_ptr[k + 1];
+        let mut dst = &s.upd_dst[updates.clone()];
+        // The L part in ascending column (= step) order.
+        for i in lo..us {
             let c = s.f_col_idx[i];
-            let m = work[c] / diag[c];
-            work[c] = m;
-            ops += 1;
-            let pr = s.perm[c];
-            let ud = s.diag_slot[c];
-            let pend = s.f_row_ptr[pr + 1];
-            for ui in (ud + 1)..pend {
-                work[s.f_col_idx[ui]] -= m * f_values[ui];
+            let m = f[i] / diag[c];
+            f[i] = m;
+            let tail = s.diag_slot[c] + 1..s.u_end[c];
+            let (now, rest) = dst.split_at(tail.len());
+            for (&d, src) in now.iter().zip(tail) {
+                f[d as usize] -= m * f[src];
             }
-            ops += (pend - ud - 1) as u64;
+            dst = rest;
         }
-        let pivot = work[k];
-        let mut umax = 0.0f64;
-        for i in s.u_start[r]..hi {
-            umax = umax.max(work[s.f_col_idx[i]].modulus());
-        }
-        // Gather back and clear the workspace.
-        for (&c, v) in s.f_col_idx[lo..hi].iter().zip(&mut f_values[lo..hi]) {
-            *v = work[c];
-            work[c] = T::ZERO;
-        }
+        let pivot = f[us];
+        let umax = f[us..hi].iter().fold(0.0f64, |m, v| m.max(v.modulus()));
         if !pivot.is_finite() || pivot.modulus() < REPIVOT_RATIO * umax || pivot == T::ZERO {
             return Err(NumericsError::SingularMatrix { pivot: k });
         }
         diag[k] = pivot;
-        Ok(ops)
+        Ok((us - lo + updates.len()) as u64)
     }
 
     /// Refactors under module invariant 4. First, with no arithmetic,
@@ -1701,7 +1820,7 @@ impl<T: LuScalar> SparseLu<T> {
             for slot in s.pattern.row_range(r) {
                 self.f_values[s.a_to_f[slot]] += values[slot];
             }
-            match Self::replay_step(s, &mut self.f_values, &mut self.work, &mut self.diag, k) {
+            match Self::replay_step(s, &mut self.f_values, &mut self.diag, k) {
                 Ok(step_ops) => ops += step_ops,
                 Err(e) => {
                     self.step_flag[k..].iter_mut().for_each(|f| *f = false);
@@ -2599,6 +2718,84 @@ mod tests {
         assert_eq!(m.get(0, 0), 4.0);
         assert_eq!(m.get(1, 1), 5.0);
         assert!(asm.replay_misses() > 0);
+    }
+
+    /// Factors `values` twice — the pivoting factorisation that freezes
+    /// the plan, then a replay of the same values — and returns both
+    /// solutions of `A x = b` and both `factor_ops` counts.
+    fn pivot_then_replay<T: LuScalar>(
+        pattern: &Arc<SparsityPattern>,
+        values: &[T],
+        b: &[T],
+    ) -> ([Vec<T>; 2], [u64; 2]) {
+        let mut lu = SparseLu::<T>::new();
+        let mut run = || {
+            lu.factor(pattern, values).expect("factor");
+            (lu.solve_factored(b).expect("solve"), lu.factor_ops())
+        };
+        let ((x0, ops0), (x1, ops1)) = (run(), run());
+        let p = lu.factor_path_stats();
+        assert_eq!(
+            (p.symbolic_factorizations, p.replay_refactorizations),
+            (1, 1)
+        );
+        ([x0, x1], [ops0, ops1])
+    }
+
+    /// An unsymmetric `n × n` matrix with weak diagonals on every third
+    /// row, so the plan both pivots off the diagonal and fills.
+    fn scrambled(n: usize) -> CsrMatrix {
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            let w = (i as f64 * 0.37).sin();
+            t.push(i, i, if i % 3 == 0 { 1e-4 * w } else { 2.0 + w });
+            t.push(i, (7 * i + 3) % n, 0.5 + (i as f64 * 1.3).cos());
+            t.push((5 * i + 1) % n, i, -0.75 + (i as f64 * 0.9).sin());
+        }
+        t.to_csr()
+    }
+
+    #[test]
+    fn replay_of_the_frozen_values_equals_the_pivoting_factorisation() {
+        // The compiled update list replays exactly the right-looking
+        // elimination's arithmetic: re-factoring the values the plan was
+        // frozen on solves bit for bit alike, at the same op count.
+        for a in [ladder(24), mixed_scale_rows(), scrambled(40)] {
+            let n = a.rows();
+            let (pattern, values) = (a.pattern(), a.values());
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.5).collect();
+            let ([x0, x1], [ops0, ops1]) = pivot_then_replay(pattern, values, &b);
+            assert_eq!(ops0, ops1, "n = {n}");
+            for (p, r) in x0.iter().zip(&x1) {
+                assert_eq!(p.to_bits(), r.to_bits(), "n = {n}: {p} vs {r}");
+            }
+            let cvals: Vec<Complex> = values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| Complex::new(v, 0.1 * v * (i as f64).cos()))
+                .collect();
+            let cb: Vec<Complex> = b.iter().map(|&v| Complex::new(v, -0.5 * v)).collect();
+            let ([x0, x1], [ops0, ops1]) = pivot_then_replay(pattern, &cvals, &cb);
+            assert_eq!(ops0, ops1, "complex n = {n}");
+            for (p, r) in x0.iter().zip(&x1) {
+                assert_eq!(
+                    (p.re.to_bits(), p.im.to_bits()),
+                    (r.re.to_bits(), r.im.to_bits()),
+                    "complex n = {n}: {p} vs {r}"
+                );
+            }
+        }
+        // The scrambled matrix exercises both: fill and off-diagonal
+        // pivots.
+        let a = scrambled(40);
+        let mut lu = SparseLu::<f64>::new();
+        lu.factor(a.pattern(), a.values()).expect("factor");
+        let s = lu.symbolic.as_ref().expect("plan frozen");
+        assert!(lu.factor_nnz() > a.nnz(), "the plan fills");
+        assert!(
+            (0..a.rows()).any(|k| s.col_order[k] != s.perm[k]),
+            "the plan pivots off the diagonal"
+        );
     }
 
     #[test]
