@@ -164,9 +164,10 @@ impl<'a> Mna<'a> {
 
     /// Runs `entries` on this stamp's [`JacobianBlock`] — or, on a
     /// residual-only pass, not at all, so the derivatives it computes
-    /// cost nothing there. An element makes at most one call per stamp
-    /// and writes its entries in the same order on every pass: the
-    /// write plan recorded on the first assembly follows that order.
+    /// cost nothing there. The write plan recorded on the first
+    /// assembly follows the order of the entries; an element that
+    /// writes them in another order on a later pass stays exact, but
+    /// each entry off the plan costs a slot search.
     pub fn stamp_jacobian(&mut self, entries: impl FnOnce(&mut JacobianBlock<'_, '_>)) {
         if let Some(asm) = self.jacobian.as_deref_mut() {
             asm.add_block(|writer| entries(&mut JacobianBlock(writer)));

@@ -6,17 +6,21 @@
 //!
 //! * **Assembly** — [`PatternAssembler`] records the sparsity pattern on
 //!   the first assembly (triplet pushes) and compiles it into a CSR
-//!   matrix with a shared [`SparsityPattern`]; every later assembly
-//!   writes values straight into the preallocated slots with no
-//!   allocation and no sorting.
+//!   matrix with a shared [`SparsityPattern`], plus a write plan: the
+//!   slot of every recorded write, in call order. Every later assembly
+//!   writes values through the plan, block by block, straight into the
+//!   preallocated slots with no allocation, no sorting and no search.
 //! * **Factorisation** — [`SparseLu`], the circuit engine's solver, is
 //!   a sparse LU whose pivot order and fill-in pattern are chosen once
 //!   (Markowitz-style threshold pivoting on row-equilibrated magnitudes,
 //!   so MNA rows on different unit scales — KCL rows in S, CNFET charge
 //!   balances in C/m — compete for pivots on equal terms) and then
 //!   **reused across factorizations** — subsequent factors replay the
-//!   elimination over the frozen pattern with a dense scatter workspace,
-//!   KLU-style. Neither column pre-ordering wins on every circuit, so
+//!   elimination over the frozen pattern, KLU-style, by running an
+//!   update list compiled when the plan froze (each step's L entries
+//!   and the factor slots their updates write, as in Gustavson's
+//!   compiled Crout codes), in place in the factor storage. Neither
+//!   column pre-ordering wins on every circuit, so
 //!   the choice is a race: the pivoting elimination runs under the
 //!   static ascending-degree order and under [`btf_amd_order`], and the
 //!   plan with fewer L+U entries is frozen (a tie keeps the static
@@ -37,9 +41,11 @@
 //! than silently degrading:
 //!
 //! 1. **The recorded pattern is a superset of every later assembly.**
-//!    After [`PatternAssembler::finish`] compiles the pattern, an
-//!    [`PatternAssembler::add`] to an entry outside it panics — the
-//!    assembled structure changed, which needs a fresh assembler.
+//!    After [`PatternAssembler::finish`] compiles the pattern, a write
+//!    ([`BlockWriter::add`]) to an entry outside it panics — the
+//!    assembled structure changed, which needs a fresh assembler. A
+//!    write inside the pattern but off the recorded write order is
+//!    still exact: it takes the searched path.
 //!    Callers must therefore record every entry that can *ever* be
 //!    structurally nonzero, pushing an explicit `0.0` for entries whose
 //!    value happens to vanish at the recording point (e.g. a gmin
@@ -892,12 +898,6 @@ impl PatternAssembler {
         self.cursor = 0;
     }
 
-    /// Adds `v` at (`r`, `c`): a block of one write (see
-    /// [`BlockWriter::add`]).
-    pub fn add(&mut self, r: usize, c: usize, v: f64) {
-        self.add_block(|w| w.add(r, c, v));
-    }
-
     /// Hands `writes` a [`BlockWriter`] for one block of writes. The
     /// writer carries the plan cursor in a local and hands it back when
     /// the block ends.
@@ -1131,11 +1131,15 @@ impl LuScalar for Complex {
 /// Natarajan, ACM TOMS 2010), so a short row whose entries are small in
 /// absolute units can pivot its own column instead of inheriting a long
 /// row's pattern as fill; the factors themselves are of the unscaled
-/// matrix. Later factorisations of the *same* pattern replay the
-/// elimination over the frozen structure with a dense scatter
-/// workspace — no pivot search, no pattern discovery, no allocation.
-/// If a frozen pivot collapses numerically the solver transparently
-/// redoes the pivoting factorisation.
+/// matrix. Freezing the plan also compiles its replay into an update
+/// list: for each step, its L entries in ascending column order and,
+/// per L entry, the slots of the step's own row that the pivot row's U
+/// tail updates. Later factorisations of the *same* pattern run that
+/// list in place in the factor storage — the elimination's arithmetic
+/// in the elimination's order, with no pivot search, no pattern
+/// discovery, no scatter workspace and no allocation. If a frozen pivot
+/// collapses numerically the solver transparently redoes the pivoting
+/// factorisation.
 ///
 /// A real system assembled as a [`CsrMatrix`] `a` is factored with
 /// `factor(a.pattern(), a.values())`. A complex-valued system such as
@@ -1263,12 +1267,15 @@ const REPIVOT_RATIO: f64 = 1e-12;
 /// refactorisation runs the full replay instead of replaying only the
 /// dirty steps. Measured on the transient plan of the 1000-gate ring
 /// array (`cntfet-gen ring-array 125 8` with `.tran 2n`: 3 004
-/// unknowns, 17 631 L+U entries) inside its run, in three paired runs
-/// (release build, 2-core x86-64 host): a full replay costs 46–66 ns
-/// per step and a partial one 83–96 ns per replayed step (it resets
-/// each dirty row on its own and walks the scattered step set), so the
-/// partial path stops paying off at 0.55–0.7 of the steps. At this
-/// share the two replays cost the same within the host's noise.
+/// unknowns, 17 631 L+U entries) inside its run, timing every replay
+/// of seven runs (release build, 2-core x86-64 host whose speed drifts
+/// by a third): with the compiled update list a full replay costs
+/// 38–57 ns per step and a partial one 60–86 ns per replayed step (it
+/// resets each dirty row on its own and walks the scattered step set),
+/// 0.61–0.67 of it within each run, so the partial path stops paying
+/// off at about two thirds of the steps — where it stood with the
+/// dense-workspace replay before (53–69 and 85–104 ns, 0.63–0.66). At
+/// this share the two replays cost the same within the host's noise.
 const PARTIAL_REPLAY_MAX_SHARE: f64 = 0.7;
 
 impl<T: LuScalar> SparseLu<T> {
@@ -1983,9 +1990,11 @@ mod tests {
         let mut asm = PatternAssembler::new(2, 2);
         assert!(asm.is_recording());
         asm.begin();
-        asm.add(0, 0, 2.0);
-        asm.add(0, 1, -1.0);
-        asm.add(1, 1, 3.0);
+        asm.add_block(|w| {
+            w.add(0, 0, 2.0);
+            w.add(0, 1, -1.0);
+            w.add(1, 1, 3.0);
+        });
         let nnz = asm.finish().nnz();
         assert_eq!(nnz, 3);
         assert_eq!(asm.pattern_builds(), 1);
@@ -1993,8 +2002,10 @@ mod tests {
         // Second cycle: same structure, new values, same pattern object.
         let p1 = Arc::clone(asm.matrix().unwrap().pattern());
         asm.begin();
-        asm.add(0, 0, 5.0);
-        asm.add(1, 1, 1.0);
+        asm.add_block(|w| {
+            w.add(0, 0, 5.0);
+            w.add(1, 1, 1.0);
+        });
         let m = asm.finish();
         assert_eq!(m.get(0, 0), 5.0);
         assert_eq!(m.get(0, 1), 0.0, "unwritten slot is zeroed, not stale");
@@ -2007,10 +2018,10 @@ mod tests {
     fn assembler_rejects_out_of_pattern_writes() {
         let mut asm = PatternAssembler::new(2, 2);
         asm.begin();
-        asm.add(0, 0, 1.0);
+        asm.add_block(|w| w.add(0, 0, 1.0));
         asm.finish();
         asm.begin();
-        asm.add(1, 0, 1.0);
+        asm.add_block(|w| w.add(1, 0, 1.0));
     }
 
     /// Factors `a` with `lu` and solves `a x = b`.
@@ -2063,13 +2074,15 @@ mod tests {
         let mut asm = PatternAssembler::new(3, 3);
         let stamp = |asm: &mut PatternAssembler, g: f64| {
             asm.begin();
-            asm.add(0, 0, g);
-            asm.add(0, 1, -g);
-            asm.add(1, 0, -g);
-            asm.add(1, 1, g + 1e-3);
-            asm.add(1, 2, -1e-3);
-            asm.add(2, 1, -1e-3);
-            asm.add(2, 2, 2e-3);
+            asm.add_block(|w| {
+                w.add(0, 0, g);
+                w.add(0, 1, -g);
+                w.add(1, 0, -g);
+                w.add(1, 1, g + 1e-3);
+                w.add(1, 2, -1e-3);
+                w.add(2, 1, -1e-3);
+                w.add(2, 2, 2e-3);
+            });
         };
         let mut sparse = SparseLu::<f64>::new();
         stamp(&mut asm, 1.0);
@@ -2684,12 +2697,18 @@ mod tests {
     fn assembler_replays_tracked_write_sequence() {
         let mut asm = PatternAssembler::new(3, 3);
         let stamp = |asm: &mut PatternAssembler, g: f64| {
+            // Two blocks: the second picks up the plan where the first
+            // left it.
             asm.begin();
-            asm.add(0, 0, g);
-            asm.add(0, 1, -g);
-            asm.add(1, 1, g);
-            asm.add(1, 1, 1e-3); // duplicate slot, summed in order
-            asm.add(2, 2, 1.0);
+            asm.add_block(|w| {
+                w.add(0, 0, g);
+                w.add(0, 1, -g);
+            });
+            asm.add_block(|w| {
+                w.add(1, 1, g);
+                w.add(1, 1, 1e-3); // duplicate slot, summed in order
+                w.add(2, 2, 1.0);
+            });
         };
         stamp(&mut asm, 1.0);
         asm.finish();
@@ -2706,14 +2725,18 @@ mod tests {
     fn assembler_tracked_cycle_deviating_falls_back_correctly() {
         let mut asm = PatternAssembler::new(2, 2);
         asm.begin();
-        asm.add(0, 0, 1.0);
-        asm.add(1, 1, 2.0);
+        asm.add_block(|w| {
+            w.add(0, 0, 1.0);
+            w.add(1, 1, 2.0);
+        });
         asm.finish();
         // Different order than recorded: misses the sequence, stays
         // correct through the searched path.
         asm.begin();
-        asm.add(1, 1, 5.0);
-        asm.add(0, 0, 4.0);
+        asm.add_block(|w| {
+            w.add(1, 1, 5.0);
+            w.add(0, 0, 4.0);
+        });
         let m = asm.finish();
         assert_eq!(m.get(0, 0), 4.0);
         assert_eq!(m.get(1, 1), 5.0);
