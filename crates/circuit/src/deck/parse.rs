@@ -1553,7 +1553,7 @@ fn parse_ic(cur: &mut Cursor<'_>, origin: SourceRef) -> Result<super::IcCard, De
     Ok(super::IcCard { entries, origin })
 }
 
-/// Parses `( v v … )` with exactly `n` values.
+/// Parses `( v v … )` with exactly `n` values, each with its span.
 fn paren_values(cur: &mut Cursor<'_>, what: &str, n: usize) -> Result<Vec<(f64, Span)>, DeckError> {
     cur.expect_punct('(')?;
     let mut values = Vec::with_capacity(n);

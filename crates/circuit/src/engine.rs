@@ -667,11 +667,11 @@ impl NewtonEngine {
     /// residual-only pass runs the same stamps against an [`Mna`]
     /// without a Jacobian target: devices evaluate values only, no
     /// Jacobian block runs, and the assembler — with the last assembled
-    /// Jacobian — is left untouched. Every pass also writes the structural diagonal of each
-    /// node row, the slots through which the gmin leak and `ptc` (only
-    /// `Some` inside a pseudo-transient rescue stage) add their
-    /// regularization; element rows hold exactly what their elements
-    /// stamp.
+    /// Jacobian — is left untouched. Every full pass also writes the
+    /// structural diagonal of each node row, the slots through which the
+    /// gmin leak and `ptc` (only `Some` inside a pseudo-transient rescue
+    /// stage) add their regularization; element rows hold exactly what
+    /// their elements stamp.
     fn assemble_into(
         &mut self,
         circuit: &Circuit,

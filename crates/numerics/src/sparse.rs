@@ -1269,12 +1269,11 @@ const REPIVOT_RATIO: f64 = 1e-12;
 /// array (`cntfet-gen ring-array 125 8` with `.tran 2n`: 3 004
 /// unknowns, 17 631 L+U entries) inside its run, timing every replay
 /// of seven runs (release build, 2-core x86-64 host whose speed drifts
-/// by a third): with the compiled update list a full replay costs
-/// 38–57 ns per step and a partial one 60–86 ns per replayed step (it
-/// resets each dirty row on its own and walks the scattered step set),
-/// 0.61–0.67 of it within each run, so the partial path stops paying
-/// off at about two thirds of the steps — where it stood with the
-/// dense-workspace replay before (53–69 and 85–104 ns, 0.63–0.66). At
+/// by a third): a full replay costs 38–57 ns per step and a partial
+/// one 60–86 ns per replayed step (it resets each dirty row on its own
+/// and walks the scattered step set). Within each run the full
+/// replay's per-step cost is 0.61–0.67 of the partial one's, so the
+/// partial path stops paying off at about two thirds of the steps; at
 /// this share the two replays cost the same within the host's noise.
 const PARTIAL_REPLAY_MAX_SHARE: f64 = 0.7;
 
